@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,15 +42,7 @@ func chainScenario(epochs, depth, pages int) {
 	row("baseline (full chain)", base)
 	row(fmt.Sprintf("dedup+compact(d=%d)", depth), comp)
 
-	identical := base.image.Epoch == comp.image.Epoch && len(base.image.Pages) == len(comp.image.Pages)
-	if identical {
-		for p, d := range base.image.Pages {
-			if !bytes.Equal(comp.image.Pages[p], d) {
-				identical = false
-				break
-			}
-		}
-	}
+	identical := imagesEqual(base.image, comp.image)
 	verdict := "bit-identical"
 	if !identical {
 		verdict = "CORRUPT (images differ)"

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -146,15 +145,7 @@ func throughput(bytes int64, d time.Duration) string {
 }
 
 func imagesEqual(a, b *ckpt.Image) bool {
-	if a.Epoch != b.Epoch || len(a.Pages) != len(b.Pages) {
-		return false
-	}
-	for p, d := range a.Pages {
-		if !bytes.Equal(b.Pages[p], d) {
-			return false
-		}
-	}
-	return true
+	return a.Epoch == b.Epoch && a.Pages.Equal(&b.Pages)
 }
 
 type parallelResult struct {

@@ -277,10 +277,6 @@ func runRestorePFS(epochs, pages, servers int, workers []int) []restorePoint {
 		panic(err)
 	}
 	return sweepRestore(k, h, met, epochs, pages, func() {
-		// Bill restore-path reads to the simulated servers (write-side
-		// drains are done, so enabling it now shifts no drain timestamps),
-		// then destroy the fast tier.
-		pfs.SetChargeReads(true)
 		if err := local.Wipe(); err != nil {
 			panic(err)
 		}

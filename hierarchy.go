@@ -2,7 +2,6 @@ package aickpt
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/ckpt"
@@ -203,30 +202,23 @@ func (h *Hierarchy) Close() error { return h.inner.Close() }
 // epoch from the fastest surviving tier, and reports per-epoch sources.
 // Tier loads for different epochs overlap across min(GOMAXPROCS, 8)
 // loaders while the fold stays in strict chain order, so the image and the
-// per-epoch sources match a serial restore exactly; use RestoreWorkers to
-// pin the loader count (1 = serial).
+// per-epoch sources are the same for any loader count; use RestoreWorkers
+// to pin it.
 func (h *Hierarchy) Restore() (*Image, []TierRestoreStep, error) {
 	return h.RestoreWorkers(0)
 }
 
-// RestoreWorkers is Restore with an explicit epoch-loader count:
-// 1 restores serially, 0 picks min(GOMAXPROCS, 8).
+// RestoreWorkers is Restore with an explicit epoch-loader count; 0 picks
+// min(GOMAXPROCS, 8).
 func (h *Hierarchy) RestoreWorkers(workers int) (*Image, []TierRestoreStep, error) {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
+		workers = ckpt.DefaultRestoreWorkers()
 	}
 	im, steps, err := h.inner.RestoreWith(multilevel.RestoreOptions{Workers: workers})
-	out := make([]TierRestoreStep, len(steps))
-	for i, s := range steps {
-		out[i] = TierRestoreStep{Epoch: s.Epoch, Tier: s.Tier, Detail: s.Detail}
-	}
 	if err != nil {
-		return nil, out, err
+		return nil, steps, err
 	}
-	return &Image{PageSize: im.PageSize, Epoch: im.Epoch, inner: im}, out, nil
+	return &Image{PageSize: im.PageSize, Epoch: im.Epoch, inner: im}, steps, nil
 }
 
 // Manifests returns the per-epoch tier manifests: which tiers hold each
@@ -254,14 +246,10 @@ func (h *Hierarchy) FailPeerNode(node int) error {
 // the fast storage; Restore must then fall back to lower tiers.
 func (h *Hierarchy) WipeLocal() error { return h.inner.Local().Wipe() }
 
-// TierRestoreStep documents where one epoch came from during Restore.
-type TierRestoreStep struct {
-	Epoch uint64
-	// Tier is the serving tier; empty when the epoch was unrecoverable.
-	Tier string
-	// Detail explains skipped faster tiers or the unrecoverable failure.
-	Detail string
-}
+// TierRestoreStep documents where one epoch came from during Restore:
+// the serving tier (empty when the epoch was unrecoverable) and why faster
+// tiers were skipped.
+type TierRestoreStep = multilevel.RestoreStep
 
 // EpochTierManifest records where one checkpoint epoch (or promoted
 // compacted base) lives.

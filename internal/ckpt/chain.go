@@ -103,6 +103,16 @@ func (c *Chain) LastEpoch() (uint64, bool) {
 	return 0, false
 }
 
+// Live returns the entries a restore folds, oldest first: the base, then
+// every live epoch.
+func (c *Chain) Live() []Manifest {
+	entries := make([]Manifest, 0, 1+len(c.Epochs))
+	if c.Base != nil {
+		entries = append(entries, *c.Base)
+	}
+	return append(entries, c.Epochs...)
+}
+
 // LiveSegments counts the segments a restore must read: the base plus every
 // live epoch with at least one physical record.
 func (c *Chain) LiveSegments() int {
@@ -323,18 +333,12 @@ func (c *Chain) validatePageSize() error {
 }
 
 // ReadBasePages reads a committed base segment back in full, verifying
-// record integrity, and returns its page→content map.
-func ReadBasePages(fs FS, m Manifest) (map[int][]byte, error) {
+// record integrity.
+func ReadBasePages(fs FS, m Manifest) (PageSet, error) {
 	if m.Base == nil {
-		return nil, fmt.Errorf("ckpt: manifest for epoch %d is not a base", m.Epoch)
+		return PageSet{}, fmt.Errorf("ckpt: manifest for epoch %d is not a base", m.Epoch)
 	}
-	pages := make(map[int][]byte, m.PageCount)
-	if err := readSegment(fs, m, func(page int, data []byte) {
-		pages[page] = data
-	}); err != nil {
-		return nil, err
-	}
-	return pages, nil
+	return readSegment(fs, m)
 }
 
 // WriteBase consolidates a folded image into a committed base segment
@@ -344,7 +348,7 @@ func ReadBasePages(fs FS, m Manifest) (map[int][]byte, error) {
 // every page as of epoch to; codec compresses the stored records.
 // WriteBase does not garbage-collect what the base supersedes; see
 // GCSuperseded.
-func WriteBase(fs FS, from, to uint64, pageSize int, pages map[int][]byte, codec uint8) (Manifest, error) {
+func WriteBase(fs FS, from, to uint64, pageSize int, pages *PageSet, codec uint8) (Manifest, error) {
 	w := &segmentWriter{pageSize: pageSize, codec: codec}
 	man := Manifest{
 		Epoch:    to,
@@ -361,8 +365,8 @@ func WriteBase(fs FS, from, to uint64, pageSize int, pages map[int][]byte, codec
 		Discard(f)
 		return Manifest{}, err
 	}
-	for _, id := range sortedPageIDs(pages) {
-		if err := w.writeRecord(&man, id, pages[id], contentHash(pages[id])); err != nil {
+	for id, data := range pages.All() {
+		if err := w.writeRecord(&man, id, data, contentHash(data)); err != nil {
 			Discard(f)
 			return Manifest{}, fmt.Errorf("ckpt: base page %d: %w", id, err)
 		}

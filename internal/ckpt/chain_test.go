@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -51,7 +54,7 @@ func TestDedupElidesIdenticalRewrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(im.Pages[0], page(0xaa, 32)) || !bytes.Equal(im.Pages[1], page(0xcc, 32)) {
+	if !bytes.Equal(pageAt(&im.Pages, 0), page(0xaa, 32)) || !bytes.Equal(pageAt(&im.Pages, 1), page(0xcc, 32)) {
 		t.Fatal("restored content wrong after dedup")
 	}
 }
@@ -79,7 +82,7 @@ func TestDedupIndexSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 2 || !bytes.Equal(im.Pages[3], page(0x77, 16)) {
+	if im.Epoch != 2 || !bytes.Equal(pageAt(&im.Pages, 3), page(0x77, 16)) {
 		t.Fatalf("image = %+v", im)
 	}
 }
@@ -107,7 +110,7 @@ func TestDedupIgnoresAbortedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(im.Pages[0], page(0x22, 16)) {
+	if !bytes.Equal(pageAt(&im.Pages, 0), page(0x22, 16)) {
 		t.Fatal("restored content wrong")
 	}
 }
@@ -174,7 +177,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	sealEpoch(t, r, 1, 16, map[int]byte{0: 1, 1: 2})
 	sealEpoch(t, r, 2, 16, map[int]byte{1: 3})
 	sealEpoch(t, r, 3, 16, map[int]byte{2: 4})
-	man, err := WriteBase(fs, 1, 2, 16, map[int][]byte{0: page(1, 16), 1: page(3, 16)}, 0)
+	man, err := WriteBase(fs, 1, 2, 16, pageSetOf(map[int][]byte{0: page(1, 16), 1: page(3, 16)}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +188,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pages[1], page(3, 16)) {
+	if !bytes.Equal(pageAt(&pages, 1), page(3, 16)) {
 		t.Fatal("base content wrong")
 	}
 	ch, err := LoadChain(fs)
@@ -212,7 +215,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if im.Epoch != 3 || im.SegmentsRead != 2 {
 		t.Fatalf("image = epoch %d, segments %d", im.Epoch, im.SegmentsRead)
 	}
-	if !bytes.Equal(im.Pages[1], page(3, 16)) || !bytes.Equal(im.Pages[2], page(4, 16)) {
+	if !bytes.Equal(pageAt(&im.Pages, 1), page(3, 16)) || !bytes.Equal(pageAt(&im.Pages, 2), page(4, 16)) {
 		t.Fatal("restored content wrong")
 	}
 	// GC reclaims the superseded files; restore is unchanged.
@@ -224,7 +227,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im2.Epoch != 3 || !bytes.Equal(im2.Pages[1], page(3, 16)) {
+	if im2.Epoch != 3 || !bytes.Equal(pageAt(&im2.Pages, 1), page(3, 16)) {
 		t.Fatal("restore changed after GC")
 	}
 }
@@ -252,11 +255,11 @@ func TestCrashArtifactsIgnoredOnOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if im.Epoch != want.Epoch || len(im.Pages) != len(want.Pages) {
+		if im.Epoch != want.Epoch || im.Pages.Len() != want.Pages.Len() {
 			t.Fatalf("image = %+v, want %+v", im, want)
 		}
-		for p, d := range want.Pages {
-			if !bytes.Equal(im.Pages[p], d) {
+		for p, d := range want.Pages.All() {
+			if !bytes.Equal(pageAt(&im.Pages, p), d) {
 				t.Fatalf("page %d differs", p)
 			}
 		}
@@ -277,7 +280,7 @@ func TestCrashArtifactsIgnoredOnOpen(t *testing.T) {
 
 	t.Run("torn base manifest", func(t *testing.T) {
 		fs, want := build()
-		if _, err := WriteBase(fs, 1, 2, 16, map[int][]byte{0: page(1, 16), 1: page(3, 16)}, 0); err != nil {
+		if _, err := WriteBase(fs, 1, 2, 16, pageSetOf(map[int][]byte{0: page(1, 16), 1: page(3, 16)}), 0); err != nil {
 			t.Fatal(err)
 		}
 		// Killed mid-manifest-write: the JSON is truncated. The base must
@@ -288,7 +291,7 @@ func TestCrashArtifactsIgnoredOnOpen(t *testing.T) {
 
 	t.Run("killed before GC", func(t *testing.T) {
 		fs, want := build()
-		if _, err := WriteBase(fs, 1, 2, 16, map[int][]byte{0: page(1, 16), 1: page(3, 16)}, 0); err != nil {
+		if _, err := WriteBase(fs, 1, 2, 16, pageSetOf(map[int][]byte{0: page(1, 16), 1: page(3, 16)}), 0); err != nil {
 			t.Fatal(err)
 		}
 		// Base committed, folded epochs not collected yet: restore uses
@@ -305,10 +308,10 @@ func TestCrashArtifactsIgnoredOnOpen(t *testing.T) {
 
 	t.Run("stale base replaced", func(t *testing.T) {
 		fs, want := build()
-		if _, err := WriteBase(fs, 1, 2, 16, map[int][]byte{0: page(1, 16), 1: page(3, 16)}, 0); err != nil {
+		if _, err := WriteBase(fs, 1, 2, 16, pageSetOf(map[int][]byte{0: page(1, 16), 1: page(3, 16)}), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WriteBase(fs, 1, 3, 16, map[int][]byte{0: page(4, 16), 1: page(3, 16)}, 0); err != nil {
+		if _, err := WriteBase(fs, 1, 3, 16, pageSetOf(map[int][]byte{0: page(4, 16), 1: page(3, 16)}), 0); err != nil {
 			t.Fatal(err)
 		}
 		ch, err := LoadChain(fs)
@@ -414,4 +417,94 @@ func TestInspectErrorPaths(t *testing.T) {
 			t.Fatal("Restore decoded an unknown codec byte")
 		}
 	})
+}
+
+// ghostFS lists one name more than it holds: a manifest another process
+// collected between List and Open.
+type ghostFS struct {
+	FS
+	ghost string
+}
+
+func (g ghostFS) List() ([]string, error) {
+	names, err := g.FS.List()
+	names = append(names, g.ghost)
+	sort.Strings(names)
+	return names, err
+}
+
+// TestListSealedClassification pins what tier enumeration lists and what
+// it refuses, since it classifies manifests exactly as LoadChain does.
+func TestListSealedClassification(t *testing.T) {
+	build := func(compacted bool) *MemFS {
+		fs := &MemFS{}
+		r := NewRepository(fs, 16)
+		sealEpoch(t, r, 1, 16, map[int]byte{0: 1, 1: 2})
+		sealEpoch(t, r, 2, 16, map[int]byte{1: 3})
+		sealEpoch(t, r, 3, 16, map[int]byte{0: 4})
+		if compacted { // base over 1..2 committed, epochs 1 and 2 not collected yet
+			if _, err := WriteBase(fs, 1, 2, 16, pageSetOf(map[int][]byte{0: page(1, 16), 1: page(3, 16)}), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		name      string
+		compacted bool
+		damage    func(fs *MemFS) FS
+		want      []uint64
+		wantErr   string
+	}{
+		{name: "intact", want: []uint64{1, 2, 3}},
+		{name: "superseded still on disk", compacted: true, want: []uint64{1, 2, 3}},
+		{
+			name:   "torn tail",
+			damage: func(fs *MemFS) FS { fs.Truncate(manifestName(3), 10); return fs },
+			want:   []uint64{1, 2},
+		},
+		{
+			name:    "corrupt interior",
+			damage:  func(fs *MemFS) FS { fs.Truncate(manifestName(2), 10); return fs },
+			wantErr: "interior epoch 2",
+		},
+		{
+			// Garbage awaiting collection: nothing reads it, so it is
+			// left out rather than failing the enumeration.
+			name:      "corrupt superseded",
+			compacted: true,
+			damage:    func(fs *MemFS) FS { fs.Truncate(manifestName(1), 10); return fs },
+			want:      []uint64{2, 3},
+		},
+		{
+			name:      "manifest vanishes between list and open",
+			compacted: true,
+			damage:    func(fs *MemFS) FS { fs.Drop(manifestName(1)); return ghostFS{fs, manifestName(1)} },
+			want:      []uint64{2, 3},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fs FS = build(tc.compacted)
+			if tc.damage != nil {
+				fs = tc.damage(fs.(*MemFS))
+			}
+			ms, err := ListSealed(fs)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			for _, m := range ms {
+				got = append(got, m.Epoch)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("listed epochs %v, want %v", got, tc.want)
+			}
+		})
+	}
 }

@@ -81,7 +81,7 @@ func TestRepositoryConcurrentWritePage(t *testing.T) {
 				t.Fatalf("epoch 1: %d records, %d refs, want %d records", m1.PageCount, len(m1.Refs), nPages)
 			}
 			for p := 0; p < nPages; p++ {
-				if !bytes.Equal(pages1[p], content(p, 1)) {
+				if !bytes.Equal(pageAt(&pages1, p), content(p, 1)) {
 					t.Fatalf("epoch 1 page %d content mismatch", p)
 				}
 			}
@@ -93,7 +93,7 @@ func TestRepositoryConcurrentWritePage(t *testing.T) {
 				t.Fatalf("epoch 2: %d records, %d refs, want %d each", m2.PageCount, len(m2.Refs), nPages/2)
 			}
 			for p := 1; p < nPages; p += 2 {
-				if !bytes.Equal(pages2[p], content(p, 2)) {
+				if !bytes.Equal(pageAt(&pages2, p), content(p, 2)) {
 					t.Fatalf("epoch 2 page %d content mismatch", p)
 				}
 			}
@@ -107,7 +107,7 @@ func TestRepositoryConcurrentWritePage(t *testing.T) {
 				if p%2 == 1 {
 					stamp = 2
 				}
-				if !bytes.Equal(im.Pages[p], content(p, stamp)) {
+				if !bytes.Equal(pageAt(&im.Pages, p), content(p, stamp)) {
 					t.Fatalf("restored page %d content mismatch", p)
 				}
 			}

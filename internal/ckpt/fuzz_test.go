@@ -56,7 +56,7 @@ func FuzzVisitSegment(f *testing.F) {
 		fs := &MemFS{}
 		man := Manifest{Epoch: 1, PageSize: pageSize, PageCount: pageCount, TotalBytes: int64(len(seg))}
 		putFile(t, fs, segmentName(1), seg)
-		err := VisitSegment(fs, man, func(page int, data []byte) {
+		err := scanSegment(fs, man, func(page int, data []byte) {
 			if len(data) != pageSize {
 				t.Fatalf("visited record of %d bytes, page size %d", len(data), pageSize)
 			}
@@ -133,12 +133,12 @@ func FuzzRepositoryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Restore: %v", err)
 		}
-		if len(im.Pages) != len(want) {
-			t.Fatalf("restored %d pages, wrote %d", len(im.Pages), len(want))
+		if im.Pages.Len() != len(want) {
+			t.Fatalf("restored %d pages, wrote %d", im.Pages.Len(), len(want))
 		}
 		for pg, data := range want {
-			if !bytes.Equal(im.Pages[pg], data) {
-				t.Fatalf("page %d corrupted: got %x want %x", pg, im.Pages[pg], data)
+			if !bytes.Equal(pageAt(&im.Pages, pg), data) {
+				t.Fatalf("page %d corrupted: got %x want %x", pg, pageAt(&im.Pages, pg), data)
 			}
 		}
 	})

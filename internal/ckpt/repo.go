@@ -172,7 +172,7 @@ type epochStage struct {
 	cond   *sync.Cond
 	queue  []recordJob
 	closed bool
-	err    error // first segment-write error, guarded by mu
+	err    error //aickpt:guardedby mu (first segment-write error)
 
 	writeMu sync.Mutex // serializes segment appends (writer batches and sync path)
 	w       *segmentWriter
@@ -342,15 +342,6 @@ func decodeManifestFile(fs FS, name string) (Manifest, error) {
 
 func sortManifests(ms []Manifest) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Epoch < ms[j].Epoch })
-}
-
-func sortedPageIDs(pages map[int][]byte) []int {
-	ids := make([]int, 0, len(pages))
-	for id := range pages {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // pageIdx is one dedup-index entry: the newest committed content of a page.

@@ -33,10 +33,10 @@ func TestRepositoryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 1 || len(im.Pages) != 2 {
+	if im.Epoch != 1 || im.Pages.Len() != 2 {
 		t.Fatalf("image = %+v", im)
 	}
-	if !bytes.Equal(im.Pages[0], page(0xaa, 64)) || !bytes.Equal(im.Pages[3], page(0xbb, 64)) {
+	if !bytes.Equal(pageAt(&im.Pages, 0), page(0xaa, 64)) || !bytes.Equal(pageAt(&im.Pages, 3), page(0xbb, 64)) {
 		t.Error("page content mismatch")
 	}
 	// Untouched page restores as zeros.
@@ -70,8 +70,8 @@ func TestRepositoryNewestWins(t *testing.T) {
 	if im.Epoch != 2 {
 		t.Errorf("epoch = %d", im.Epoch)
 	}
-	if im.Pages[0][0] != 1 || im.Pages[1][0] != 3 {
-		t.Errorf("pages = %v %v", im.Pages[0][0], im.Pages[1][0])
+	if pageAt(&im.Pages, 0)[0] != 1 || pageAt(&im.Pages, 1)[0] != 3 {
+		t.Errorf("pages = %v %v", pageAt(&im.Pages, 0)[0], pageAt(&im.Pages, 1)[0])
 	}
 }
 
@@ -93,7 +93,7 @@ func TestUnsealedEpochIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 1 || im.Pages[0][0] != 1 {
+	if im.Epoch != 1 || pageAt(&im.Pages, 0)[0] != 1 {
 		t.Errorf("restore picked up unsealed data: %+v", im)
 	}
 }
@@ -108,7 +108,7 @@ func TestEmptyEpochSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 5 || len(im.Pages) != 0 {
+	if im.Epoch != 5 || im.Pages.Len() != 0 {
 		t.Errorf("image = %+v", im)
 	}
 }
@@ -210,11 +210,11 @@ func TestRestoreQuickNewestWins(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(im.Pages) != len(want) {
+		if im.Pages.Len() != len(want) {
 			return false
 		}
 		for pg, data := range want {
-			if !bytes.Equal(im.Pages[pg], data) {
+			if !bytes.Equal(pageAt(&im.Pages, pg), data) {
 				return false
 			}
 		}
@@ -242,7 +242,7 @@ func TestOSFSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(im.Pages[2], page(0x5c, 128)) {
+	if !bytes.Equal(pageAt(&im.Pages, 2), page(0x5c, 128)) {
 		t.Error("OSFS round trip mismatch")
 	}
 	names, err := fs.List()
@@ -274,7 +274,7 @@ func TestCompressedRepositoryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
-		if !bytes.Equal(im.Pages[0], zero) || !bytes.Equal(im.Pages[1], repetitive) {
+		if !bytes.Equal(pageAt(&im.Pages, 0), zero) || !bytes.Equal(pageAt(&im.Pages, 1), repetitive) {
 			t.Errorf("codec %d: decoded pages differ", codec)
 		}
 		// The stored segment must actually be smaller than raw.

@@ -5,21 +5,21 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/compress"
+	"repro/internal/sim"
 	"repro/internal/util"
 )
 
 // Image is a restored memory image: the newest committed content of every
-// page that was ever checkpointed. Pages absent from the map were never
+// page that was ever checkpointed. Pages absent from the set were never
 // dirtied before the last sealed epoch and therefore hold their initial
 // (zero) content, matching a freshly allocated protected region.
 type Image struct {
 	PageSize int
 	Epoch    uint64 // newest sealed epoch folded into the image
-	Pages    map[int][]byte
+	Pages    PageSet
 	// SegmentsRead counts the segments the restore actually parsed; with a
 	// compacted chain it is bounded by the compaction depth rather than the
 	// run length.
@@ -43,9 +43,9 @@ func zeroPage(n int) []byte {
 // page if it was never checkpointed. The zero page is shared by every
 // caller and every Image: treat the returned slice as immutable (copy it
 // before writing). Misses are allocation-free, so sweeping a sparse image
-// page by page costs nothing beyond the map lookups.
+// page by page costs nothing beyond the lookups.
 func (im *Image) PageOr(page int) []byte {
-	if d, ok := im.Pages[page]; ok {
+	if d, ok := im.Pages.Get(page); ok {
 		return d
 	}
 	return zeroPage(im.PageSize)
@@ -61,56 +61,11 @@ type EpochInfo struct {
 	Superseded bool
 }
 
-// sealedEpochs returns the epoch manifests present on fs, sorted by epoch.
-// A corrupt manifest newer than every decodable one is the torn tail of a
-// mid-crash write — the epoch never sealed, so it is skipped; a corrupt
-// manifest older than an intact one was provably sealed once, which is
-// interior damage and an error (scrub repairs it). A chain whose manifests
-// disagree on page size is rejected, naming the epoch that diverged —
-// folding mixed-granularity epochs would silently misplace every page of
-// the divergent epochs.
-func sealedEpochs(fs FS) ([]Manifest, error) {
-	names, err := fs.List()
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: list: %w", err)
-	}
-	var ms []Manifest
-	var bad []ChainIssue
-	for _, n := range names {
-		if !strings.HasPrefix(n, "epoch-") || !strings.HasSuffix(n, ".json") {
-			continue
-		}
-		epoch, isBase, isChain := parseManifestEpoch(n)
-		if !isChain || isBase {
-			continue
-		}
-		m, err := decodeManifestFile(fs, n)
-		if err != nil {
-			bad = append(bad, ChainIssue{Name: n, Epoch: epoch, Err: err})
-			continue
-		}
-		ms = append(ms, m)
-	}
-	sortManifests(ms)
-	for _, b := range bad {
-		if len(ms) == 0 || b.Epoch > ms[len(ms)-1].Epoch {
-			continue // torn tail: never sealed
-		}
-		return nil, fmt.Errorf("ckpt: manifest %s corrupt (interior epoch %d; run scrub to repair it from a redundant tier): %w",
-			b.Name, b.Epoch, b.Err)
-	}
-	for _, m := range ms {
-		if m.PageSize != ms[0].PageSize {
-			return nil, fmt.Errorf("ckpt: epoch %d has page size %d, chain uses %d: mixed-granularity chain is not restorable",
-				m.Epoch, m.PageSize, ms[0].PageSize)
-		}
-	}
-	return ms, nil
-}
-
-// readSegment parses one manifest's segment (epoch or base) and calls visit
-// for every record.
-func readSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
+// scanSegment parses one manifest's segment (epoch or base), verifying every
+// record's framing and payload hash and decoding transparently, and calls
+// visit for every record in file order. Verification passes a visit that
+// keeps nothing, so a scrub never holds more than one record.
+func scanSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 	if m.PageCount == 0 {
 		return nil
 	}
@@ -181,43 +136,32 @@ func readSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 	return nil
 }
 
-// VisitSegment parses one manifest's segment (epoch or base), verifying
-// record integrity and decoding transparently, and calls visit for every
-// record. The compactor uses it to fold epoch ranges.
-func VisitSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
-	return readSegment(fs, m, visit)
+// readSegment reads one manifest's segment (epoch or base) back in full as
+// a PageSet. Records are in flush order; they are sorted once here.
+func readSegment(fs FS, m Manifest) (PageSet, error) {
+	// len(m.Pages), not m.PageCount, sizes the set: it is bounded by the
+	// manifest file actually read, whatever the count field claims.
+	pages := NewPageSet(len(m.Pages))
+	if err := scanSegment(fs, m, pages.Append); err != nil {
+		return PageSet{}, err
+	}
+	pages.Sort()
+	return pages, nil
 }
 
 // RestoreOptions tunes Restore.
 type RestoreOptions struct {
-	// Workers is the number of concurrent segment readers: each worker
-	// parses, hash-verifies and codec-decodes whole segments (the chain's
-	// base and epochs) while the caller folds finished segments into the
-	// image in strict chain order, so the result is bit-identical to a
-	// serial restore for any worker count. 1 restores serially on the
-	// calling goroutine (the historical behavior); 0 picks
-	// min(GOMAXPROCS, 8).
+	// Workers is the number of concurrent segment readers: each parses,
+	// hash-verifies and codec-decodes whole segments (the chain's base and
+	// epochs) while the caller folds finished segments into the image in
+	// strict chain order, so the result is bit-identical for any width.
+	// 0 picks DefaultRestoreWorkers.
 	Workers int
 }
 
-// restoreWorkers resolves the worker-count option against the chain width:
-// no more workers than segments, and min(GOMAXPROCS, 8) by default.
-func restoreWorkers(opt RestoreOptions, segments int) int {
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w > segments {
-		w = segments
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// DefaultRestoreWorkers is the restore width used when the caller names
+// none: min(GOMAXPROCS, 8).
+func DefaultRestoreWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 
 // Restore folds the chain (newest committed base, then every live sealed
 // epoch, oldest to newest, newest content wins) into a memory image.
@@ -225,9 +169,8 @@ func restoreWorkers(opt RestoreOptions, segments int) int {
 // are ignored, which is exactly the recovery semantics of asynchronous
 // checkpointing: the restart point is the last *completed* checkpoint. With
 // a compacted chain the fold reads at most depth segments (the base plus
-// the epochs after it) instead of the whole history. Segments are read by
-// a small worker pool (see RestoreOptions.Workers); use RestoreWith to
-// control the width.
+// the epochs after it) instead of the whole history. Use RestoreWith to
+// control the number of segment readers.
 func Restore(fs FS) (*Image, error) {
 	return RestoreWith(fs, RestoreOptions{})
 }
@@ -238,96 +181,58 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ch.Base == nil && len(ch.Epochs) == 0 {
+	last, ok := ch.LastEpoch()
+	if !ok {
 		return nil, fmt.Errorf("ckpt: no sealed epochs to restore from")
 	}
-	entries := make([]Manifest, 0, 1+len(ch.Epochs))
-	if ch.Base != nil {
-		entries = append(entries, *ch.Base)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = DefaultRestoreWorkers()
 	}
-	entries = append(entries, ch.Epochs...)
-
-	im := &Image{PageSize: ch.PageSize, Pages: map[int][]byte{}}
-	fold := func(m Manifest, pages map[int][]byte) {
-		if m.PageCount > 0 {
-			im.SegmentsRead++
-		}
-		for page, data := range pages {
-			im.Pages[page] = data
-		}
-		if m.Base != nil {
-			im.Epoch = m.Base.To
-		} else {
-			im.Epoch = m.Epoch
-		}
+	pages, segments, err := FoldSegments(fs, ch.Live(), workers)
+	if err != nil {
+		return nil, err
 	}
-
-	if restoreWorkers(opt, len(entries)) == 1 {
-		for _, m := range entries {
-			pages := make(map[int][]byte, m.PageCount)
-			if err := readSegment(fs, m, func(page int, data []byte) {
-				pages[page] = data
-			}); err != nil {
-				return nil, err
-			}
-			fold(m, pages)
-		}
-		return im, nil
-	}
-	return restoreParallel(fs, entries, im, fold, restoreWorkers(opt, len(entries)))
+	return &Image{PageSize: ch.PageSize, Epoch: last, Pages: pages, SegmentsRead: segments}, nil
 }
 
-// restoreParallel fans segment reads out across workers. Workers claim
-// entries in chain order from an atomic cursor and deliver each parsed
-// segment through its own buffered slot, so no worker ever blocks on the
-// folder; the folder consumes slots in chain order, which reproduces the
-// serial newest-epoch-wins fold (and the serial error: the first failing
-// entry in chain order wins, later reads are cancelled via the stop flag).
-func restoreParallel(fs FS, entries []Manifest, im *Image, fold func(Manifest, map[int][]byte), workers int) (*Image, error) {
-	type segResult struct {
-		pages map[int][]byte
-		err   error
-	}
-	results := make([]chan segResult, len(entries))
-	for i := range results {
-		results[i] = make(chan segResult, 1)
-	}
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(entries) || stop.Load() {
-					return
-				}
-				m := entries[i]
-				pages := make(map[int][]byte, m.PageCount)
-				err := readSegment(fs, m, func(page int, data []byte) {
-					pages[page] = data
-				})
-				if err != nil {
-					pages = nil
-				}
-				results[i] <- segResult{pages: pages, err: err}
+// FoldSegments is the one chain fold: it reads entries — a base and the
+// epochs after it, oldest first — on up to workers concurrent readers and
+// merges them in that order, newest content winning, so the result is the
+// same for any width. The first failing entry in chain order is the error.
+// It also returns how many segments held records. Restore and the compactor
+// both fold with it.
+func FoldSegments(fs FS, entries []Manifest, workers int) (PageSet, int, error) {
+	var pages PageSet
+	segments := 0
+	err := sim.OrderedFanout(sim.NewRealEnv(), len(entries), workers,
+		func(i int) (PageSet, error) { return readSegment(fs, entries[i]) },
+		func(i int, seg PageSet) error {
+			if entries[i].PageCount > 0 {
+				segments++
 			}
-		}()
+			pages.Merge(&seg)
+			return nil
+		})
+	if err != nil {
+		return PageSet{}, 0, err
 	}
-	for i, m := range entries {
-		r := <-results[i]
-		if r.err != nil {
-			stop.Store(true)
-			return nil, r.err
-		}
-		fold(m, r.pages)
-	}
-	return im, nil
+	return pages, segments, nil
 }
 
 // ListSealed returns the manifests of all sealed epochs on fs, sorted by
-// epoch. Multi-level tier drains use it to enumerate what a tier holds.
-// Epochs already folded into a base (and garbage-collected) are absent.
-func ListSealed(fs FS) ([]Manifest, error) { return sealedEpochs(fs) }
+// epoch, as LoadChain classifies them: a torn tail is not sealed, interior
+// corruption and mixed page sizes are errors. Multi-level tiers use it to
+// enumerate what they hold. Epochs already folded into a base (and
+// garbage-collected) are absent; ones a base covers but that are still on
+// disk are listed.
+func ListSealed(fs FS) ([]Manifest, error) {
+	ch, err := LoadChain(fs)
+	if err != nil {
+		return nil, err
+	}
+	return append(ch.Superseded, ch.Epochs...), nil
+}
 
 // ReadManifest returns the manifest of one sealed epoch, or an error when
 // the epoch is not sealed on fs.
@@ -340,21 +245,19 @@ func ReadManifest(fs FS, epoch uint64) (Manifest, error) {
 }
 
 // EpochPages reads one sealed epoch back in full, verifying record
-// integrity, and returns its manifest plus a page→content map of its
-// *physical* records (deduplicated pages are listed in the manifest's Refs
-// but carry no data — the content they reference is already in the chain).
-// The multi-level drainer uses it to promote a sealed epoch from the fast
-// tier to slower, more resilient tiers.
-func EpochPages(fs FS, epoch uint64) (Manifest, map[int][]byte, error) {
+// integrity, and returns its manifest plus the set of its *physical*
+// records (deduplicated pages are listed in the manifest's Refs but carry
+// no data — the content they reference is already in the chain). The
+// multi-level drainer uses it to promote a sealed epoch from the fast tier
+// to slower, more resilient tiers.
+func EpochPages(fs FS, epoch uint64) (Manifest, PageSet, error) {
 	m, err := ReadManifest(fs, epoch)
 	if err != nil {
-		return Manifest{}, nil, err
+		return Manifest{}, PageSet{}, err
 	}
-	pages := make(map[int][]byte, m.PageCount)
-	if err := readSegment(fs, m, func(page int, data []byte) {
-		pages[page] = data
-	}); err != nil {
-		return Manifest{}, nil, err
+	pages, err := readSegment(fs, m)
+	if err != nil {
+		return Manifest{}, PageSet{}, err
 	}
 	return m, pages, nil
 }
@@ -385,7 +288,7 @@ func Inspect(fs FS) ([]EpochInfo, error) {
 	var infos []EpochInfo
 	add := func(m Manifest, superseded bool) {
 		info := EpochInfo{Manifest: m, SegmentOK: true, Superseded: superseded}
-		if err := readSegment(fs, m, func(int, []byte) {}); err != nil {
+		if err := scanSegment(fs, m, func(int, []byte) {}); err != nil {
 			info.SegmentOK = false
 			info.Err = err.Error()
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/util"
@@ -52,18 +55,18 @@ func compactPrefix(t *testing.T, fs FS, to uint64, pageSize int, codec uint8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := map[int][]byte{}
+	var pages PageSet
 	for _, m := range ch.Epochs {
 		if m.Epoch > to {
 			break
 		}
-		if err := VisitSegment(fs, m, func(page int, data []byte) {
-			pages[page] = append([]byte(nil), data...)
-		}); err != nil {
+		seg, err := readSegment(fs, m)
+		if err != nil {
 			t.Fatal(err)
 		}
+		pages.Merge(&seg)
 	}
-	if _, err := WriteBase(fs, 1, to, pageSize, pages, codec); err != nil {
+	if _, err := WriteBase(fs, 1, to, pageSize, &pages, codec); err != nil {
 		t.Fatal(err)
 	}
 	ch, err = LoadChain(fs)
@@ -80,11 +83,11 @@ func imagesEqual(a, b *Image) error {
 	if a.SegmentsRead != b.SegmentsRead {
 		return fmt.Errorf("segments read %d != %d", a.SegmentsRead, b.SegmentsRead)
 	}
-	if len(a.Pages) != len(b.Pages) {
-		return fmt.Errorf("page count %d != %d", len(a.Pages), len(b.Pages))
+	if a.Pages.Len() != b.Pages.Len() {
+		return fmt.Errorf("page count %d != %d", a.Pages.Len(), b.Pages.Len())
 	}
-	for p, d := range a.Pages {
-		if !bytes.Equal(d, b.Pages[p]) {
+	for p, d := range a.Pages.All() {
+		if got, ok := b.Pages.Get(p); !ok || !bytes.Equal(d, got) {
 			return fmt.Errorf("page %d content differs", p)
 		}
 	}
@@ -172,12 +175,89 @@ func TestRestoreParallelErrorMatchesSerial(t *testing.T) {
 	}
 }
 
+// afterReturnFS fails the test on any FS call made once the restore under
+// test has returned. Opens of every segment but the first are held until
+// the first segment has been read and closed, and then for as long as the
+// restore has not returned (bounded, so a restore that joins its readers
+// first is not deadlocked): a restore that returns on the first bad segment
+// while readers are still inside Open is caught red-handed.
+type afterReturnFS struct {
+	FS
+	t        *testing.T
+	first    string        // the segment that fails
+	firstEnd chan struct{} // closed when the first segment's file is closed
+	returned chan struct{} // closed when RestoreWith has returned
+	open     sync.WaitGroup
+}
+
+func (fs *afterReturnFS) check(op string) {
+	select {
+	case <-fs.returned:
+		fs.t.Errorf("%s after RestoreWith returned", op)
+	default:
+	}
+}
+
+func (fs *afterReturnFS) Open(name string) (io.ReadCloser, error) {
+	fs.check("Open " + name)
+	if strings.HasSuffix(name, ".pages") && name != fs.first {
+		<-fs.firstEnd
+		select {
+		case <-fs.returned:
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	f, err := fs.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	fs.open.Add(1)
+	return &afterReturnFile{ReadCloser: f, fs: fs, name: name}, nil
+}
+
+type afterReturnFile struct {
+	io.ReadCloser
+	fs   *afterReturnFS
+	name string
+}
+
+func (f *afterReturnFile) Read(p []byte) (int, error) {
+	f.fs.check("Read " + f.name)
+	return f.ReadCloser.Read(p)
+}
+
+func (f *afterReturnFile) Close() error {
+	defer f.fs.open.Done()
+	if f.name == f.fs.first {
+		close(f.fs.firstEnd)
+	}
+	return f.ReadCloser.Close()
+}
+
+// A restore that fails must have joined its segment readers before it
+// returns: the caller may unmount or delete what they read from.
+func TestRestoreErrorLeavesNoReaderBehind(t *testing.T) {
+	const pageSize = 128
+	mem := buildTestChain(t, 8, pageSize, compress.None, false)
+	mem.files[segmentName(1)][30] ^= 0xff
+	for _, workers := range []int{1, 4, 8} {
+		fs := &afterReturnFS{FS: mem, t: t, first: segmentName(1),
+			firstEnd: make(chan struct{}), returned: make(chan struct{})}
+		_, err := RestoreWith(fs, RestoreOptions{Workers: workers})
+		close(fs.returned)
+		if err == nil || !strings.Contains(err.Error(), "epoch 1") {
+			t.Fatalf("workers=%d: err = %v, want epoch 1's corruption", workers, err)
+		}
+		fs.open.Wait() // let a straggler run into check before the verdict
+	}
+}
+
 // PageOr misses must return the shared zero page without allocating.
 func TestAllocGatePageOrMiss(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in non-race CI step")
 	}
-	im := &Image{PageSize: 4096, Pages: map[int][]byte{}}
+	im := &Image{PageSize: 4096}
 	im.PageOr(1) // warm the shared zero page
 	allocs := testing.AllocsPerRun(100, func() {
 		if len(im.PageOr(2)) != 4096 {
@@ -192,7 +272,7 @@ func TestAllocGatePageOrMiss(t *testing.T) {
 // The zero page is shared: both misses see the same backing array and it
 // must stay all-zero.
 func TestPageOrSharedZero(t *testing.T) {
-	im := &Image{PageSize: 64, Pages: map[int][]byte{}}
+	im := &Image{PageSize: 64}
 	a := im.PageOr(1)
 	b := im.PageOr(2)
 	if &a[0] != &b[0] {

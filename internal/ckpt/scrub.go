@@ -87,7 +87,7 @@ func VerifyChain(fs FS) ([]SegmentHealth, error) {
 		if m.PageCount > 0 {
 			h.Segment = segmentFile(m)
 		}
-		if err := readSegment(fs, m, func(int, []byte) {}); err != nil {
+		if err := scanSegment(fs, m, func(int, []byte) {}); err != nil {
 			if errors.Is(err, iofs.ErrNotExist) {
 				h.Status = StatusSegmentMissing
 			} else {
@@ -145,13 +145,13 @@ func Quarantine(fs FS, name string) error {
 // from a redundant tier (peer shards or the PFS mirror): the segment is
 // written first, the manifest — the commit point — last, exactly like the
 // original seal, so a crash mid-repair leaves the epoch unsealed rather
-// than half-repaired and the repair simply reruns. pages maps page ID to
-// raw content (the rewritten records are stored uncompressed); refs
+// than half-repaired and the repair simply reruns. pages holds the raw
+// content (the rewritten records are stored uncompressed); refs
 // preserves the epoch's dedup annotations when the old manifest was still
 // decodable, or nil to drop them (refs are never needed for restore).
-func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages map[int][]byte, refs []PageRef) (Manifest, error) {
+func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages *PageSet, refs []PageRef) (Manifest, error) {
 	man := Manifest{Epoch: epoch, PageSize: pageSize, Format: FormatV2, Refs: refs}
-	if len(pages) > 0 {
+	if pages.Len() > 0 {
 		w := &segmentWriter{pageSize: pageSize}
 		f, err := fs.Create(segmentName(epoch))
 		if err != nil {
@@ -161,8 +161,8 @@ func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages map[int][]byte, refs 
 			Discard(f)
 			return Manifest{}, err
 		}
-		for _, id := range sortedPageIDs(pages) {
-			if err := w.writeRecord(&man, id, pages[id], contentHash(pages[id])); err != nil {
+		for id, data := range pages.All() {
+			if err := w.writeRecord(&man, id, data, contentHash(data)); err != nil {
 				Discard(f)
 				return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d page %d: %w", epoch, id, err)
 			}

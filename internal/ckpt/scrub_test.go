@@ -177,7 +177,7 @@ func TestVerifyChainInteriorCorruptManifest(t *testing.T) {
 func TestVerifyChainCorruptBaseManifest(t *testing.T) {
 	fs := &MemFS{}
 	sealEpochs(t, fs, 3, 16)
-	pages := map[int][]byte{0: bytes.Repeat([]byte{0xab}, 16)}
+	pages := pageSetOf(map[int][]byte{0: bytes.Repeat([]byte{0xab}, 16)})
 	if _, err := WriteBase(fs, 1, 2, 16, pages, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +308,11 @@ func TestRewriteEpochRepairsCorruptSegment(t *testing.T) {
 	if err := Quarantine(fs, segmentName(1)); err != nil {
 		t.Fatal(err)
 	}
-	man, err := RewriteEpoch(fs, 1, pageSize, copy1, oldMan.Refs)
+	man, err := RewriteEpoch(fs, 1, pageSize, &copy1, oldMan.Refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Epoch != 1 || man.PageCount != len(copy1) {
+	if man.Epoch != 1 || man.PageCount != copy1.Len() {
 		t.Fatalf("rewritten manifest = %+v", man)
 	}
 	hs, err := VerifyChain(fs)
@@ -328,11 +328,11 @@ func TestRewriteEpochRepairsCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != want.Epoch || len(got.Pages) != len(want.Pages) {
-		t.Fatalf("restored epoch %d / %d pages, want %d / %d", got.Epoch, len(got.Pages), want.Epoch, len(want.Pages))
+	if got.Epoch != want.Epoch || got.Pages.Len() != want.Pages.Len() {
+		t.Fatalf("restored epoch %d / %d pages, want %d / %d", got.Epoch, got.Pages.Len(), want.Epoch, want.Pages.Len())
 	}
-	for p, data := range want.Pages {
-		if !bytes.Equal(got.Pages[p], data) {
+	for p, data := range want.Pages.All() {
+		if !bytes.Equal(pageAt(&got.Pages, p), data) {
 			t.Errorf("page %d differs after repair", p)
 		}
 	}

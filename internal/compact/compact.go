@@ -148,30 +148,27 @@ func runOnce(cfg Config, force bool) (Result, error) {
 		return res, nil
 	}
 
-	// Fold the base and the foldable prefix into a consolidated image.
-	pages := map[int][]byte{}
-	fold := func(m ckpt.Manifest) error {
-		return ckpt.VisitSegment(cfg.FS, m, func(page int, data []byte) {
-			pages[page] = data
-		})
-	}
+	// Fold the base and the foldable prefix into a consolidated image with
+	// one segment reader: a compaction runs next to the application and
+	// must not multiply its footprint for speed.
 	from := foldable[0].Epoch
+	var entries []ckpt.Manifest
 	if ch.Base != nil {
 		from = ch.Base.Base.From
-		if err := fold(*ch.Base); err != nil {
-			return res, fmt.Errorf("compact: read base: %w", err)
-		}
+		entries = append(entries, *ch.Base)
 	}
-	var folded []uint64
-	for _, m := range foldable {
-		if err := fold(m); err != nil {
-			return res, fmt.Errorf("compact: read epoch %d: %w", m.Epoch, err)
-		}
-		folded = append(folded, m.Epoch)
-	}
+	entries = append(entries, foldable...)
 	to := foldable[len(foldable)-1].Epoch
+	pages, _, err := ckpt.FoldSegments(cfg.FS, entries, 1)
+	if err != nil {
+		return res, fmt.Errorf("compact: fold [%d,%d]: %w", from, to, err)
+	}
+	folded := make([]uint64, len(foldable))
+	for i, m := range foldable {
+		folded[i] = m.Epoch
+	}
 
-	man, err := ckpt.WriteBase(cfg.FS, from, to, cfg.PageSize, pages, cfg.Codec)
+	man, err := ckpt.WriteBase(cfg.FS, from, to, cfg.PageSize, &pages, cfg.Codec)
 	if err != nil {
 		return res, fmt.Errorf("compact: write base [%d,%d]: %w", from, to, err)
 	}

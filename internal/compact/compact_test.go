@@ -1,7 +1,6 @@
 package compact
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -34,15 +33,7 @@ func writeChain(t *testing.T, fs ckpt.FS, pageSize, n int) {
 }
 
 func imagesEqual(a, b *ckpt.Image) bool {
-	if a.Epoch != b.Epoch || len(a.Pages) != len(b.Pages) {
-		return false
-	}
-	for p, d := range a.Pages {
-		if !bytes.Equal(b.Pages[p], d) {
-			return false
-		}
-	}
-	return true
+	return a.Epoch == b.Epoch && a.Pages.Equal(&b.Pages)
 }
 
 func TestRunOnceFoldsAndBoundsRestore(t *testing.T) {

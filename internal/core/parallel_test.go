@@ -290,12 +290,12 @@ func TestParallelSerialChainsEquivalent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if parIm.Epoch != serialIm.Epoch || len(parIm.Pages) != len(serialIm.Pages) {
+				if parIm.Epoch != serialIm.Epoch || parIm.Pages.Len() != serialIm.Pages.Len() {
 					t.Fatalf("workers=%d: restored (epoch %d, %d pages), serial (epoch %d, %d pages)",
-						workers, parIm.Epoch, len(parIm.Pages), serialIm.Epoch, len(serialIm.Pages))
+						workers, parIm.Epoch, parIm.Pages.Len(), serialIm.Epoch, serialIm.Pages.Len())
 				}
-				for p, data := range serialIm.Pages {
-					if !bytes.Equal(parIm.Pages[p], data) {
+				for p, data := range serialIm.Pages.All() {
+					if got, _ := parIm.Pages.Get(p); !bytes.Equal(got, data) {
 						t.Fatalf("workers=%d: restored page %d differs from serial baseline", workers, p)
 					}
 				}

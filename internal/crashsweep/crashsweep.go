@@ -54,7 +54,7 @@ type Report struct {
 type sealMark struct {
 	epoch uint64
 	ops   int64
-	image map[int][]byte
+	image ckpt.PageSet
 }
 
 func fill(pageSize, p, v int) []byte {
@@ -77,21 +77,21 @@ func minSealed(marks []sealMark, k int64) uint64 {
 	return e
 }
 
-func imageFor(marks []sealMark, epoch uint64) map[int][]byte {
+func imageFor(marks []sealMark, epoch uint64) ckpt.PageSet {
 	for _, m := range marks {
 		if m.epoch == epoch {
 			return m.image
 		}
 	}
-	return map[int][]byte{}
+	return ckpt.PageSet{}
 }
 
-func compareImage(got *ckpt.Image, want map[int][]byte) error {
-	if len(got.Pages) != len(want) {
-		return fmt.Errorf("restored %d pages, want %d", len(got.Pages), len(want))
+func compareImage(got *ckpt.Image, want ckpt.PageSet) error {
+	if got.Pages.Len() != want.Len() {
+		return fmt.Errorf("restored %d pages, want %d", got.Pages.Len(), want.Len())
 	}
-	for p, data := range want {
-		if !bytes.Equal(got.Pages[p], data) {
+	for p, data := range want.All() {
+		if d, _ := got.Pages.Get(p); !bytes.Equal(d, data) {
 			return fmt.Errorf("page %d content differs", p)
 		}
 	}

@@ -188,7 +188,7 @@ func TestRepositoryThroughFaultFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 1 || im.Pages[0][0] != 1 {
-		t.Fatalf("restored epoch %d page %v", im.Epoch, im.Pages[0][:4])
+	if got, _ := im.Pages.Get(0); im.Epoch != 1 || got[0] != 1 {
+		t.Fatalf("restored epoch %d page %v", im.Epoch, got[:4])
 	}
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"regexp"
 	"strings"
 )
 
@@ -135,16 +134,8 @@ func hasFuncDirective(fd *ast.FuncDecl, verb string) bool {
 	return false
 }
 
-// legacyGuardRE recognizes the repository's established prose form for
-// guarded fields — a comment line ending in "guarded by <field>" — so the
-// annotations that predate the linter are enforced without rewriting them.
-// The end-of-line anchor keeps it from latching onto prose that merely
-// mentions guarding (e.g. "guarded by selReady/selBuilding" spanning two
-// names matches nothing).
-var legacyGuardRE = regexp.MustCompile(`guarded by ([A-Za-z_]\w*)\.?\s*$`)
-
-// guardMutexName extracts the guarding mutex named by a field's comment
-// groups: the //aickpt:guardedby directive or the legacy trailing prose.
+// guardMutexName extracts the guarding mutex named by the
+// //aickpt:guardedby directive in a field's comment groups.
 func guardMutexName(groups ...*ast.CommentGroup) (string, bool) {
 	for _, g := range groups {
 		if g == nil {
@@ -153,11 +144,6 @@ func guardMutexName(groups ...*ast.CommentGroup) (string, bool) {
 		for _, c := range g.List {
 			if d, ok := parseDirective(commentText(c)); ok && d.verb == "guardedby" && len(d.args) > 0 {
 				return d.args[0], true
-			}
-			for _, line := range strings.Split(commentText(c), "\n") {
-				if m := legacyGuardRE.FindStringSubmatch(strings.TrimSpace(line)); m != nil {
-					return m[1], true
-				}
 			}
 		}
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // Guardedby enforces the repository's locking annotations: a struct field
-// annotated //aickpt:guardedby <mu> (or with the legacy trailing comment
-// "guarded by <mu>") may only be accessed from functions that either follow
-// the xxxLocked naming convention (caller holds the lock) or contain an
-// acquisition of that mutex (x.mu.Lock() / x.mu.RLock()).
+// annotated //aickpt:guardedby <mu> may only be accessed from functions
+// that either follow the xxxLocked naming convention (caller holds the
+// lock) or contain an acquisition of that mutex (x.mu.Lock() /
+// x.mu.RLock()).
 //
 // The check is deliberately flow-insensitive: it asks "does this function
 // ever take the lock", not "is the lock held at this statement" — exactly

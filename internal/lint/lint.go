@@ -2,15 +2,15 @@
 // (go/ast, go/parser, go/types — no module dependencies) analyzer suite that
 // machine-enforces the invariants the performance work rests on. The
 // invariants themselves live next to the code as //aickpt:* directives and
-// the established `// guarded by mu` / xxxLocked conventions; this package
-// turns them from reviewer lore into diagnostics.
+// the established xxxLocked convention; this package turns them from
+// reviewer lore into diagnostics.
 //
 // Four analyzers ship today (see CONTRIBUTING.md for the directive
 // reference):
 //
-//   - guardedby: fields annotated `//aickpt:guardedby <mu>` (or the legacy
-//     trailing `guarded by <mu>` comment) may only be accessed by functions
-//     that acquire that mutex or follow the xxxLocked naming convention.
+//   - guardedby: fields annotated `//aickpt:guardedby <mu>` may only be
+//     accessed by functions that acquire that mutex or follow the xxxLocked
+//     naming convention.
 //   - walltime: time.Now/Since/Sleep and friends are forbidden in the
 //     sim-deterministic internal packages except at //aickpt:walltime sites.
 //   - hotpath: functions annotated //aickpt:hotpath must not contain

@@ -1,6 +1,6 @@
-// Package guardedbytest exercises the guardedby analyzer: annotated and
-// legacy-commented fields, the xxxLocked convention, lock acquisition
-// through Lock and RLock, and //aickpt:allow exemptions.
+// Package guardedbytest exercises the guardedby analyzer: annotated
+// fields, the xxxLocked convention, lock acquisition through Lock and
+// RLock, and //aickpt:allow exemptions.
 package guardedbytest
 
 import "sync"
@@ -9,7 +9,8 @@ type counter struct {
 	mu sync.Mutex
 	n  int //aickpt:guardedby mu
 
-	// hits is bumped on every probe, guarded by mu
+	// hits is bumped on every probe.
+	//aickpt:guardedby mu
 	hits int
 
 	free int // unguarded: accessible anywhere

@@ -86,11 +86,11 @@ func TestCompactionSupersedesDrainedEpochs(t *testing.T) {
 	if im.SegmentsRead != 3 { // base + epochs 5, 6
 		t.Errorf("segments read = %d, want 3", im.SegmentsRead)
 	}
-	if im.Epoch != before.Epoch || len(im.Pages) != len(before.Pages) {
+	if im.Epoch != before.Epoch || im.Pages.Len() != before.Pages.Len() {
 		t.Fatalf("image = %+v, want %+v", im, before)
 	}
-	for p, d := range before.Pages {
-		if !bytes.Equal(im.Pages[p], d) {
+	for p, d := range before.Pages.All() {
+		if got, _ := im.Pages.Get(p); !bytes.Equal(got, d) {
 			t.Fatalf("page %d differs after compaction", p)
 		}
 	}
@@ -109,8 +109,8 @@ func TestCompactionSupersedesDrainedEpochs(t *testing.T) {
 			t.Errorf("epoch %d restored from %q, want pfs", s.Epoch, s.Tier)
 		}
 	}
-	for p, d := range before.Pages {
-		if !bytes.Equal(im2.Pages[p], d) {
+	for p, d := range before.Pages.All() {
+		if got, _ := im2.Pages.Get(p); !bytes.Equal(got, d) {
 			t.Fatalf("page %d differs after L1 loss", p)
 		}
 	}
@@ -220,10 +220,10 @@ func TestRestartSkipsSupersededEpochs(t *testing.T) {
 		}
 	}
 	// A committed base covering [1,2]; the folded epochs escape GC.
-	if _, err := ckpt.WriteBase(localFS, 1, 2, pageSize, map[int][]byte{
-		1: pageFill(1, 1),
-		2: pageFill(2, 2),
-	}, 0); err != nil {
+	var basePages ckpt.PageSet
+	basePages.Append(1, pageFill(1, 1))
+	basePages.Append(2, pageFill(2, 2))
+	if _, err := ckpt.WriteBase(localFS, 1, 2, pageSize, &basePages, 0); err != nil {
 		t.Fatal(err)
 	}
 

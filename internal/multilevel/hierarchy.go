@@ -496,10 +496,10 @@ func (h *Hierarchy) drainOne(ti int, job drainJob) {
 		ep := job.data
 		if ep == nil {
 			if job.base != nil {
-				var pages map[int][]byte
+				var pages ckpt.PageSet
 				pages, err = ckpt.ReadBasePages(h.local.FS(), *job.base)
 				if err == nil {
-					ep = newEpochData(job.epoch, h.pageSize, pages)
+					ep = &EpochData{Epoch: job.epoch, PageSize: h.pageSize, Pages: pages}
 				}
 			} else {
 				ep, err = h.local.Load(job.epoch)

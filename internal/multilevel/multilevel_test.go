@@ -640,3 +640,39 @@ func TestHierarchyUnderRealClock(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPeerTierLoad measures the k-of-n reconstruction of one epoch
+// with two peers down, from an epoch barely past the serial floor to a
+// full-sized one: 4 KiB pages over RS(4+2), no link model, so the decode
+// pool is all that is timed.
+func BenchmarkPeerTierLoad(b *testing.B) {
+	const size = 4096
+	for _, n := range []int{8, 32, 63, 512} {
+		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {
+			nodes := make([]*PeerNode, 6)
+			for i := range nodes {
+				nodes[i] = NewPeerNode(fmt.Sprintf("peer%d", i), nil)
+			}
+			peer, err := NewPeerTier("peer", 4, 2, nodes, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pages := ckpt.NewPageSet(n)
+			for p := 0; p < n; p++ {
+				pages.Append(p, bytes.Repeat([]byte{byte(p + 1)}, size))
+			}
+			if err := peer.Store(&EpochData{Epoch: 1, PageSize: size, Pages: pages}); err != nil {
+				b.Fatal(err)
+			}
+			nodes[0].Fail()
+			nodes[1].Fail()
+			b.SetBytes(int64(n) * size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := peer.Load(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -3,27 +3,19 @@ package multilevel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/ckpt"
 	"repro/internal/erasure"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
-// decodeWorkers sizes the reconstruction pool: one worker per core up to
-// the page count, and no pool at all for narrow loads where goroutine
-// startup would cost more than the decode.
-func decodeWorkers(pages int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > pages {
-		w = pages
-	}
-	if pages < 8 {
-		return 1
-	}
-	return w
-}
+// minDecodeChunk is the fewest pages one reconstruction task covers: below
+// it, claiming a task costs more than decoding its pages.
+const minDecodeChunk = 8
 
 // PeerNode is one remote node of the peer tier. It holds erasure shards in
 // its memory (modeling a partner node's ramdisk) and may be backed by a
@@ -101,8 +93,9 @@ func (n *PeerNode) get(epoch uint64, page int) []byte {
 // themselves, so it survives loss of the local tier.
 type peerEpochMeta struct {
 	start    int
-	sizes    map[int]int
-	degraded bool // some target nodes never received their shards
+	ids      []int // ascending, as Store received them
+	sizes    []int // sizes[j] is the length of page ids[j]
+	degraded bool  // some target nodes never received their shards
 }
 
 // PeerTier erasure-codes each page into k data + m parity shards and
@@ -166,9 +159,8 @@ func (t *PeerTier) Store(ep *EpochData) error {
 		return fmt.Errorf("multilevel: peer tier %s: %d of %d target nodes down, epoch %d would be unrecoverable",
 			t.name, len(failed), t.width(), ep.Epoch)
 	}
-	sizes := make(map[int]int, len(ep.PageIDs))
-	for _, id := range ep.PageIDs {
-		data := ep.Pages[id]
+	sizes := make([]int, 0, ep.Pages.Len())
+	for id, data := range ep.Pages.All() {
 		shards := t.coder.Encode(data)
 		for i, shard := range shards {
 			n := t.node(start, i)
@@ -192,14 +184,14 @@ func (t *PeerTier) Store(ep *EpochData) error {
 				failed[i] = true
 			}
 		}
-		sizes[id] = len(data)
+		sizes = append(sizes, len(data))
 	}
 	if len(failed) > t.coder.M() {
 		return fmt.Errorf("multilevel: peer tier %s: %d of %d target nodes lost shards mid-store, epoch %d unrecoverable",
 			t.name, len(failed), t.width(), ep.Epoch)
 	}
 	t.mu.Lock()
-	t.meta[ep.Epoch] = &peerEpochMeta{start: start, sizes: sizes, degraded: len(failed) > 0}
+	t.meta[ep.Epoch] = &peerEpochMeta{start: start, ids: slices.Clone(ep.Pages.IDs()), sizes: sizes, degraded: len(failed) > 0}
 	t.mu.Unlock()
 	return nil
 }
@@ -226,10 +218,10 @@ func (t *PeerTier) Degraded(epoch uint64) bool {
 // reconstructs every page, succeeding as long as k shards per page remain.
 // Shard gathering is serial — each fetch is a link transfer whose (virtual)
 // time is the real cost being modeled — but the k-of-n reconstruction of
-// the gathered pages is pure CPU, so it fans out across a worker pool
-// sized to GOMAXPROCS. The workers are plain goroutines, not env
-// processes: they touch no links, clocks or env primitives, so they are
-// safe under the deterministic kernel (which they cost no virtual time).
+// the gathered pages is pure CPU, so it fans out in chunks of pages. The
+// decoders run under a real Env whatever the tier's own: they touch no
+// links, clocks or env primitives, so they are safe under the deterministic
+// kernel (which they cost no virtual time).
 func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	t.mu.Lock()
 	meta, ok := t.meta[epoch]
@@ -237,11 +229,7 @@ func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	if !ok {
 		return nil, fmt.Errorf("multilevel: peer tier %s does not hold epoch %d", t.name, epoch)
 	}
-	ids := make([]int, 0, len(meta.sizes))
-	for id := range meta.sizes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := meta.ids
 	sets := make([][][]byte, len(ids))
 	for j, id := range ids {
 		shards := make([][]byte, t.width())
@@ -254,52 +242,42 @@ func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 		}
 		sets[j] = shards
 	}
-	out := make([][]byte, len(ids))
-	errs := make([]error, len(ids))
-	decode := func(j int) {
-		out[j], errs[j] = t.coder.Decode(sets[j], meta.sizes[ids[j]])
-	}
-	if workers := decodeWorkers(len(ids)); workers <= 1 {
-		for j := range ids {
-			decode(j)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(cursor.Add(1)) - 1
-					if j >= len(ids) {
-						return
-					}
-					decode(j)
+	pages := ckpt.NewPageSet(len(ids))
+	// One task per core, so an epoch of any size spreads over all of them.
+	workers := runtime.GOMAXPROCS(0)
+	chunk := max(minDecodeChunk, (len(ids)+workers-1)/workers)
+	chunks := (len(ids) + chunk - 1) / chunk
+	// The first failing chunk in page order wins, and within it the lowest
+	// page, so the surfaced error does not depend on worker interleaving.
+	err := sim.OrderedFanout(sim.NewRealEnv(), chunks, workers,
+		func(c int) ([][]byte, error) {
+			lo := c * chunk
+			out := make([][]byte, min(chunk, len(ids)-lo))
+			for j := range out {
+				var err error
+				if out[j], err = t.coder.Decode(sets[lo+j], meta.sizes[lo+j]); err != nil {
+					return nil, fmt.Errorf("multilevel: peer tier %s epoch %d page %d: %w", t.name, epoch, ids[lo+j], err)
 				}
-			}()
-		}
-		wg.Wait()
-	}
-	pages := make(map[int][]byte, len(ids))
-	for j, id := range ids {
-		if errs[j] != nil {
-			// Lowest page wins so the surfaced error is deterministic
-			// regardless of worker interleaving.
-			return nil, fmt.Errorf("multilevel: peer tier %s epoch %d page %d: %w", t.name, epoch, id, errs[j])
-		}
-		pages[id] = out[j]
+			}
+			return out, nil
+		},
+		func(c int, out [][]byte) error {
+			for j, data := range out {
+				pages.Append(ids[c*chunk+j], data)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	// Page size is not stored per epoch on the peers; infer it from the
 	// largest page (pages are full-sized except possibly compressed ones,
 	// which the hierarchy never sends here).
 	pageSize := 0
-	for _, size := range meta.sizes {
-		if size > pageSize {
-			pageSize = size
-		}
+	if len(meta.sizes) > 0 {
+		pageSize = slices.Max(meta.sizes)
 	}
-	return newEpochData(epoch, pageSize, pages), nil
+	return &EpochData{Epoch: epoch, PageSize: pageSize, Pages: pages}, nil
 }
 
 // Epochs implements Tier.

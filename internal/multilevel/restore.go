@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // RestoreStep records where one epoch was read from during a tier-aware
@@ -25,22 +26,22 @@ type RestoreStep struct {
 // RestoreOptions tunes RestoreWith.
 type RestoreOptions struct {
 	// Workers is the number of concurrent epoch loaders. Each loader
-	// probes the tiers fastest-first for one epoch (exactly the serial
-	// probe order), so tier loads for *different* epochs overlap — epoch
-	// N+1's probe/load runs while epoch N folds — while the fold itself
-	// stays in strict chain order. The image, the per-epoch RestoreSteps
-	// and the SpanRestore sources are identical to a serial restore; only
-	// the wall (or virtual) time shrinks. 0 or 1 restores serially.
+	// probes the tiers fastest-first for one epoch, so tier loads for
+	// *different* epochs overlap while the fold itself stays in strict
+	// chain order: the image, the per-epoch RestoreSteps and the
+	// SpanRestore sources are the same for every width, only the wall (or
+	// virtual) time shrinks. 0 or 1 is one loader, which starts epoch N+1
+	// the instant it finishes N. The default is not derived from the host,
+	// so a virtual-time run does not depend on the machine it runs on.
 	Workers int
 }
 
 // epochLoad is one loader's result for one epoch, handed to the folder.
 type epochLoad struct {
-	done       bool
 	ep         *EpochData
 	from       string
 	level      int8
-	fallbacks  []string
+	detail     []string // failed probes of faster tiers; what a base folded
 	start, end time.Duration
 }
 
@@ -57,112 +58,110 @@ type epochLoad struct {
 // point is the last epoch of the intact prefix. The returned steps
 // document the per-epoch source.
 //
-// Restore is serial (one epoch in flight at a time); RestoreWith overlaps
-// tier loads across epochs.
+// Restore keeps one epoch in flight at a time; RestoreWith overlaps tier
+// loads across epochs.
 func (h *Hierarchy) Restore() (*ckpt.Image, []RestoreStep, error) {
 	return h.RestoreWith(RestoreOptions{})
 }
 
 // RestoreWith is Restore with explicit options.
 func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep, error) {
-	im := &ckpt.Image{PageSize: h.pageSize, Pages: map[int][]byte{}}
+	im := &ckpt.Image{PageSize: h.pageSize}
 	var steps []RestoreStep
 	folded := 0
 
-	// Try the local tier's compacted base first.
+	// Try the local tier's compacted base first; it folds like an epoch
+	// served by tier 0.
 	var skipTo uint64
 	if ch, err := ckpt.LoadChain(h.local.FS()); err == nil && ch.Base != nil {
-		var bstart time.Duration
-		if h.obs != nil {
-			bstart = h.obs.Now()
-		}
-		if pages, err := ckpt.ReadBasePages(h.local.FS(), *ch.Base); err == nil {
-			for id, data := range pages {
-				im.Pages[id] = data
-			}
-			skipTo = ch.Base.Base.To
-			im.Epoch = skipTo
-			im.SegmentsRead++
+		b := ch.Base.Base
+		r := epochLoad{from: h.local.Name(), start: h.obs.Now()}
+		pages, err := ckpt.ReadBasePages(h.local.FS(), *ch.Base)
+		r.end = h.obs.Now()
+		if err == nil {
+			r.ep = &EpochData{Epoch: b.To, PageSize: h.pageSize, Pages: pages}
+			r.detail = []string{fmt.Sprintf("base [%d,%d]: %d epochs folded", b.From, b.To, b.To-b.From+1)}
+			h.foldEpoch(im, b.To, r, &steps)
+			skipTo = b.To
 			folded++
-			if h.obs != nil {
-				bend := h.obs.Now()
-				h.obs.RestoreEpochs.Inc()
-				h.obs.RestorePages.Add(uint64(len(pages)))
-				h.obs.TraceAt(bend, obs.StageRestore, skipTo, -1, 0, int64(len(pages)))
-				h.obs.Span(obs.SpanRestore, skipTo, 0, bstart, bend)
-			}
-			steps = append(steps, RestoreStep{
-				Epoch: skipTo,
-				Tier:  h.local.Name(),
-				Detail: fmt.Sprintf("base [%d,%d]: %d epochs folded",
-					ch.Base.Base.From, ch.Base.Base.To, ch.Base.Base.To-ch.Base.Base.From+1),
-			})
 		} else {
 			steps = append(steps, RestoreStep{
-				Epoch:  ch.Base.Base.To,
-				Detail: fmt.Sprintf("base [%d,%d] unreadable, falling back to per-epoch tiers: %v", ch.Base.Base.From, ch.Base.Base.To, err),
+				Epoch:  b.To,
+				Detail: fmt.Sprintf("base [%d,%d] unreadable, falling back to per-epoch tiers: %v", b.From, b.To, err),
 			})
 		}
 	}
 
 	tiers := h.Tiers()
+	epochs := tierEpochs(tiers, func(e uint64) bool { return e > skipTo })
+	if len(epochs) == 0 && folded == 0 {
+		return nil, nil, fmt.Errorf("multilevel: no sealed epochs on any tier")
+	}
+	// Because epochs are incremental the fold stops at the first one no
+	// tier can recover; that is an error only when nothing came before it.
+	broken := h.foldEpochs(tiers, epochs, opt.Workers, func(epoch uint64, r epochLoad) error {
+		if !h.foldEpoch(im, epoch, r, &steps) {
+			return fmt.Errorf("multilevel: epoch %d unrecoverable on every tier", epoch)
+		}
+		folded++
+		return nil
+	})
+	if folded == 0 {
+		return nil, steps, broken
+	}
+	return im, steps, nil
+}
+
+// tierEpochs returns, ascending, every epoch keep accepts that at least one
+// of tiers lists. A tier that cannot list is skipped: its epochs may exist
+// elsewhere.
+func tierEpochs(tiers []Tier, keep func(epoch uint64) bool) []uint64 {
 	seen := map[uint64]bool{}
 	var epochs []uint64
 	for _, t := range tiers {
 		es, err := t.Epochs()
 		if err != nil {
-			continue // tier unreadable: its epochs may exist elsewhere
+			continue
 		}
 		for _, e := range es {
-			if e <= skipTo {
-				continue // covered by the folded base
-			}
-			if !seen[e] {
+			if keep(e) && !seen[e] {
 				seen[e] = true
 				epochs = append(epochs, e)
 			}
 		}
 	}
-	if len(epochs) == 0 && folded == 0 {
-		return nil, nil, fmt.Errorf("multilevel: no sealed epochs on any tier")
-	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	return epochs
+}
 
-	workers := opt.Workers
-	if workers > len(epochs) {
-		workers = len(epochs)
-	}
-	if workers > 1 {
-		steps, folded = h.restorePipelined(im, tiers, epochs, steps, folded, workers)
-	} else {
-		steps, folded = h.restoreSerial(im, tiers, epochs, steps, folded)
-	}
-	if folded == 0 {
-		return nil, steps, fmt.Errorf("multilevel: epoch %d unrecoverable on every tier", epochs[0])
-	}
-	return im, steps, nil
+// foldEpochs is the one epoch fold: workers loader processes claim epochs
+// in chain order and probe tiers for them concurrently while the calling
+// process hands each result to fold strictly in chain order. Loaders run on
+// h.env, so under the virtual-time kernel concurrent tier transfers contend
+// for the same simulated links a real parallel restore would. A fold error
+// ends it at the intact prefix: later loads are discarded and the loaders
+// have drained when it returns. Restore and base repair both fold with it.
+func (h *Hierarchy) foldEpochs(tiers []Tier, epochs []uint64, workers int, fold func(epoch uint64, r epochLoad) error) error {
+	return sim.OrderedFanout(h.env, len(epochs), workers,
+		func(i int) (epochLoad, error) { return h.loadEpoch(tiers, epochs[i]), nil },
+		func(i int, r epochLoad) error { return fold(epochs[i], r) })
 }
 
 // loadEpoch probes the tiers fastest-first for one epoch, timing the whole
 // probe sequence: a failed probe of a faster tier is real restore latency
 // and belongs to the epoch's span.
 func (h *Hierarchy) loadEpoch(tiers []Tier, epoch uint64) epochLoad {
-	var r epochLoad
-	if h.obs != nil {
-		r.start = h.obs.Now()
-	}
+	r := epochLoad{start: h.obs.Now()}
 	for li, t := range tiers {
 		loaded, err := t.Load(epoch)
 		if err != nil {
-			r.fallbacks = append(r.fallbacks, fmt.Sprintf("%s: %v", t.Name(), err))
+			r.detail = append(r.detail, fmt.Sprintf("%s: %v", t.Name(), err))
 			continue
 		}
 		r.ep, r.from, r.level = loaded, t.Name(), int8(li)
 		break
 	}
-	if h.obs != nil {
-		r.end = h.obs.Now()
-	}
+	r.end = h.obs.Now()
 	return r
 }
 
@@ -171,97 +170,23 @@ func (h *Hierarchy) loadEpoch(tiers []Tier, epoch uint64) epochLoad {
 // incremental chain is broken and the restart point is the previous epoch.
 func (h *Hierarchy) foldEpoch(im *ckpt.Image, epoch uint64, r epochLoad, steps *[]RestoreStep) bool {
 	if r.ep == nil {
-		*steps = append(*steps, RestoreStep{Epoch: epoch, Detail: "unrecoverable: " + strings.Join(r.fallbacks, "; ")})
+		*steps = append(*steps, RestoreStep{Epoch: epoch, Detail: "unrecoverable: " + strings.Join(r.detail, "; ")})
 		return false
 	}
-	for id, data := range r.ep.Pages {
-		im.Pages[id] = data
-	}
+	n := r.ep.Pages.Len()
+	im.Pages.Merge(&r.ep.Pages)
 	im.Epoch = epoch
 	im.SegmentsRead++
 	if h.obs != nil {
 		h.obs.RestoreEpochs.Inc()
-		h.obs.RestorePages.Add(uint64(len(r.ep.Pages)))
-		h.obs.TraceAt(r.end, obs.StageRestore, epoch, -1, r.level, int64(len(r.ep.Pages)))
+		h.obs.RestorePages.Add(uint64(n))
+		h.obs.TraceAt(r.end, obs.StageRestore, epoch, -1, r.level, int64(n))
 		// The restore span's tier is the level that finally served the
 		// epoch; its duration includes the failed probes of the faster
 		// tiers above it — that lost time is real restore latency and
 		// belongs to this epoch.
 		h.obs.Span(obs.SpanRestore, epoch, r.level, r.start, r.end)
 	}
-	*steps = append(*steps, RestoreStep{Epoch: epoch, Tier: r.from, Detail: strings.Join(r.fallbacks, "; ")})
+	*steps = append(*steps, RestoreStep{Epoch: epoch, Tier: r.from, Detail: strings.Join(r.detail, "; ")})
 	return true
-}
-
-// restoreSerial loads and folds one epoch at a time — the historical
-// restore: span N+1 starts exactly where span N ended.
-func (h *Hierarchy) restoreSerial(im *ckpt.Image, tiers []Tier, epochs []uint64, steps []RestoreStep, folded int) ([]RestoreStep, int) {
-	for _, epoch := range epochs {
-		if !h.foldEpoch(im, epoch, h.loadEpoch(tiers, epoch), &steps) {
-			break
-		}
-		folded++
-	}
-	return steps, folded
-}
-
-// restorePipelined overlaps tier probe/loads across epochs: a pool of
-// loader processes claims epochs in chain order and loads them
-// concurrently (each with the serial fastest-tier-first probe order) while
-// this process folds finished epochs strictly in chain order. Loaders run
-// on h.env processes, so under the virtual-time kernel concurrent tier
-// transfers contend for the same simulated links a real parallel restore
-// would. On an unrecoverable epoch the fold stops at the intact prefix,
-// in-flight loads beyond it are discarded, and the loaders drain before
-// returning.
-func (h *Hierarchy) restorePipelined(im *ckpt.Image, tiers []Tier, epochs []uint64, steps []RestoreStep, folded int, workers int) ([]RestoreStep, int) {
-	mu := h.env.NewMutex()
-	cond := h.env.NewCond(mu)
-	loads := make([]epochLoad, len(epochs))
-	next := 0
-	active := workers
-	worker := func() {
-		for {
-			mu.Lock()
-			i := next
-			if i >= len(epochs) {
-				active--
-				cond.Broadcast()
-				mu.Unlock()
-				return
-			}
-			next++
-			mu.Unlock()
-			r := h.loadEpoch(tiers, epochs[i])
-			mu.Lock()
-			r.done = true
-			loads[i] = r
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	for w := 0; w < workers; w++ {
-		h.env.Go(fmt.Sprintf("restore-%d", w), worker)
-	}
-	for i, epoch := range epochs {
-		mu.Lock()
-		for !loads[i].done {
-			cond.Wait()
-		}
-		r := loads[i]
-		mu.Unlock()
-		if !h.foldEpoch(im, epoch, r, &steps) {
-			mu.Lock()
-			next = len(epochs) // cancel unclaimed epochs past the break
-			mu.Unlock()
-			break
-		}
-		folded++
-	}
-	mu.Lock()
-	for active > 0 {
-		cond.Wait()
-	}
-	mu.Unlock()
-	return steps, folded
 }

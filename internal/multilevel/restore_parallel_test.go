@@ -53,11 +53,11 @@ func compareRestores(t *testing.T, label string,
 		t.Fatalf("%s: epoch/segments mismatch: serial epoch=%d segs=%d, parallel epoch=%d segs=%d",
 			label, serIm.Epoch, serIm.SegmentsRead, parIm.Epoch, parIm.SegmentsRead)
 	}
-	if len(serIm.Pages) != len(parIm.Pages) {
-		t.Fatalf("%s: page count mismatch: serial=%d parallel=%d", label, len(serIm.Pages), len(parIm.Pages))
+	if serIm.Pages.Len() != parIm.Pages.Len() {
+		t.Fatalf("%s: page count mismatch: serial=%d parallel=%d", label, serIm.Pages.Len(), parIm.Pages.Len())
 	}
-	for id, want := range serIm.Pages {
-		if got, ok := parIm.Pages[id]; !ok || !bytes.Equal(got, want) {
+	for id, want := range serIm.Pages.All() {
+		if got, ok := parIm.Pages.Get(id); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("%s: page %d differs between serial and parallel restore", label, id)
 		}
 	}
@@ -105,6 +105,50 @@ func TestRestorePipelinedMatchesSerial(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreVirtualTimeIsReproducible runs the same degraded restore —
+// L1 wiped, one peer down, so every epoch is an erasure reconstruction over
+// contended links — in two fresh kernels per width. The virtual instant the
+// restore ends must not differ between the two runs: loaders are kernel
+// processes claiming epochs in a fixed order, so nothing about the host
+// (scheduler, core count, decode pool) may leak into the simulated
+// timeline. More loaders must also finish no later than one.
+func TestRestoreVirtualTimeIsReproducible(t *testing.T) {
+	run := func(workers int) (took time.Duration) {
+		k := sim.NewKernel()
+		h, peer, _ := testHierarchy(t, k, 3)
+		k.Go("app", func() {
+			sealChain(t, h, 10)
+			h.WaitDrained()
+			if err := h.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if err := h.Local().Wipe(); err != nil {
+				t.Fatal(err)
+			}
+			peer.Nodes()[1].Fail()
+			start := k.Now()
+			if _, _, err := h.RestoreWith(RestoreOptions{Workers: workers}); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			took = k.Now() - start
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return took
+	}
+	one := run(1)
+	for _, workers := range []int{1, 4} {
+		a, b := run(workers), run(workers)
+		if a != b || a <= 0 {
+			t.Errorf("workers=%d: two runs restored in %v and %v of virtual time", workers, a, b)
+		}
+		if a > one {
+			t.Errorf("workers=%d restored in %v, slower than one loader's %v", workers, a, one)
+		}
 	}
 }
 

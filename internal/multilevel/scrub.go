@@ -2,7 +2,6 @@ package multilevel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -114,21 +113,9 @@ func (h *Hierarchy) Scrub() (ScrubReport, error) {
 // epoch unsealed (and the repair reruns) rather than half-healed.
 func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	fs := h.local.FS()
-	var ep *EpochData
-	var from string
-	var level int8
-	var probes []string
-	for li, t := range h.lower {
-		loaded, err := t.Load(hs.Epoch)
-		if err != nil {
-			probes = append(probes, fmt.Sprintf("%s: %v", t.Name(), err))
-			continue
-		}
-		ep, from, level = loaded, t.Name(), int8(li+1)
-		break
-	}
-	if ep == nil {
-		return fmt.Errorf("no lower tier holds epoch %d (%s)", hs.Epoch, strings.Join(probes, "; "))
+	r := h.loadEpoch(h.lower, hs.Epoch)
+	if r.ep == nil {
+		return fmt.Errorf("no lower tier holds epoch %d (%s)", hs.Epoch, strings.Join(r.detail, "; "))
 	}
 	// Preserve the dedup annotations when the old manifest still decodes;
 	// refs are pure accounting, so dropping them on a lost manifest is
@@ -148,13 +135,13 @@ func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error 
 	if hs.Segment != "" && hs.Status == ckpt.StatusSegmentCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Segment)
 	}
-	if _, err := ckpt.RewriteEpoch(fs, hs.Epoch, h.pageSize, ep.Pages, refs); err != nil {
+	if _, err := ckpt.RewriteEpoch(fs, hs.Epoch, h.pageSize, &r.ep.Pages, refs); err != nil {
 		return err
 	}
 	if h.obs != nil {
-		h.obs.Trace(obs.StageRepair, hs.Epoch, -1, level, int64(len(ep.Pages)))
+		h.obs.Trace(obs.StageRepair, hs.Epoch, -1, r.level+1, int64(r.ep.Pages.Len()))
 	}
-	entry.Action = "repaired from " + from
+	entry.Action = "repaired from " + r.from
 	return nil
 }
 
@@ -173,45 +160,22 @@ func (h *Hierarchy) repairBase(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	if n, err := fmt.Sscanf(hs.Manifest, "base-%d-%d.json", &from, &to); err != nil || n != 2 {
 		return fmt.Errorf("unparseable base manifest name %q", hs.Manifest)
 	}
-	seen := map[uint64]bool{}
-	var epochs []uint64
-	for _, t := range h.lower {
-		es, err := t.Epochs()
-		if err != nil {
-			continue
-		}
-		for _, e := range es {
-			if e <= to && !seen[e] {
-				seen[e] = true
-				epochs = append(epochs, e)
-			}
-		}
-	}
+	epochs := tierEpochs(h.lower, func(e uint64) bool { return e <= to })
 	if len(epochs) == 0 {
 		return fmt.Errorf("no lower tier holds any epoch of base [%d,%d]", from, to)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	pages := map[int][]byte{}
+	var pages ckpt.PageSet
 	var level int8
-	for _, e := range epochs {
-		var ep *EpochData
-		var probes []string
-		for li, t := range h.lower {
-			loaded, err := t.Load(e)
-			if err != nil {
-				probes = append(probes, fmt.Sprintf("%s: %v", t.Name(), err))
-				continue
-			}
-			ep, level = loaded, int8(li+1)
-			break
-		}
-		if ep == nil {
+	if err := h.foldEpochs(h.lower, epochs, 1, func(e uint64, r epochLoad) error {
+		if r.ep == nil {
 			return fmt.Errorf("epoch %d of base [%d,%d] unloadable on every tier (%s)",
-				e, from, to, strings.Join(probes, "; "))
+				e, from, to, strings.Join(r.detail, "; "))
 		}
-		for id, data := range ep.Pages {
-			pages[id] = data
-		}
+		pages.Merge(&r.ep.Pages)
+		level = r.level + 1
+		return nil
+	}); err != nil {
+		return err
 	}
 	if hs.Status == ckpt.StatusManifestCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Manifest)
@@ -219,11 +183,11 @@ func (h *Hierarchy) repairBase(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	if hs.Segment != "" && hs.Status == ckpt.StatusSegmentCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Segment)
 	}
-	if _, err := ckpt.WriteBase(fs, from, to, h.pageSize, pages, 0); err != nil {
+	if _, err := ckpt.WriteBase(fs, from, to, h.pageSize, &pages, 0); err != nil {
 		return err
 	}
 	if h.obs != nil {
-		h.obs.Trace(obs.StageRepair, to, -1, level, int64(len(pages)))
+		h.obs.Trace(obs.StageRepair, to, -1, level, int64(pages.Len()))
 	}
 	entry.Action = "repaired by re-folding lower-tier epochs"
 	return nil

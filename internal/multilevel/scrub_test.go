@@ -49,8 +49,8 @@ func restoreSnapshot(t *testing.T, h *Hierarchy) map[int][]byte {
 		t.Fatalf("restore: %v", err)
 	}
 	out := map[int][]byte{}
-	for p := range im.Pages {
-		out[p] = append([]byte(nil), im.Pages[p]...)
+	for p, d := range im.Pages.All() {
+		out[p] = append([]byte(nil), d...)
 	}
 	return out
 }

@@ -15,7 +15,6 @@ package multilevel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ckpt"
@@ -29,20 +28,7 @@ import (
 type EpochData struct {
 	Epoch    uint64
 	PageSize int
-	// PageIDs lists the pages in ascending order; Pages maps each to its
-	// committed content.
-	PageIDs []int
-	Pages   map[int][]byte
-}
-
-// newEpochData builds an EpochData from a page map.
-func newEpochData(epoch uint64, pageSize int, pages map[int][]byte) *EpochData {
-	ids := make([]int, 0, len(pages))
-	for id := range pages {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return &EpochData{Epoch: epoch, PageSize: pageSize, PageIDs: ids, Pages: pages}
+	Pages    ckpt.PageSet
 }
 
 // Tier is one level of the checkpoint hierarchy. Store persists a complete
@@ -104,12 +90,6 @@ type LocalTier struct {
 	repo     *ckpt.Repository
 	timing   storage.Backend // optional; models transfer cost only
 	pageSize int
-	// chargeReads bills Load's page reads to the timing backend (when it
-	// models reads). Off by default: write-side simulations pinned their
-	// virtual timelines before read modeling existed, and the drainer
-	// loads every epoch from L1 — charging those reads would shift every
-	// established drain timestamp. Restore benchmarks opt in.
-	chargeReads bool
 
 	// storeMu serializes whole-epoch Store calls: the repository keeps one
 	// epoch open at a time. It is an Env mutex so holding it across
@@ -175,8 +155,7 @@ func (t *LocalTier) EndEpoch(epoch uint64) error {
 func (t *LocalTier) Store(ep *EpochData) error {
 	t.storeMu.Lock()
 	defer t.storeMu.Unlock()
-	for _, id := range ep.PageIDs {
-		data := ep.Pages[id]
+	for id, data := range ep.Pages.All() {
 		if err := t.WritePage(ep.Epoch, id, data, len(data)); err != nil {
 			return fmt.Errorf("multilevel: tier %s epoch %d page %d: %w", t.name, ep.Epoch, id, err)
 		}
@@ -187,31 +166,22 @@ func (t *LocalTier) Store(ep *EpochData) error {
 	return nil
 }
 
-// SetChargeReads makes Load bill each page it reads to the timing backend
-// (which must implement storage.PageReader; a no-op otherwise or with no
-// timing model). Call it before restoring, from the process that owns the
-// tier — it must not race with in-flight loads.
-func (t *LocalTier) SetChargeReads(enabled bool) { t.chargeReads = enabled }
-
-// Load implements Tier, verifying record hashes on the way back. With
-// SetChargeReads the pages read are charged to the timing model in a
-// deterministic (ascending page) order.
+// Load implements Tier, verifying record hashes on the way back. A timing
+// backend that models reads (storage.PageReader) is billed for every page,
+// in ascending page order.
 func (t *LocalTier) Load(epoch uint64) (*EpochData, error) {
 	m, pages, err := ckpt.EpochPages(t.fs, epoch)
 	if err != nil {
 		return nil, err
 	}
-	ep := newEpochData(epoch, m.PageSize, pages)
-	if t.chargeReads {
-		if r, ok := t.timing.(storage.PageReader); ok {
-			for _, id := range ep.PageIDs {
-				if err := r.ReadPage(epoch, id, len(ep.Pages[id])); err != nil {
-					return nil, fmt.Errorf("multilevel: tier %s epoch %d page %d read: %w", t.name, epoch, id, err)
-				}
+	if r, ok := t.timing.(storage.PageReader); ok {
+		for id, data := range pages.All() {
+			if err := r.ReadPage(epoch, id, len(data)); err != nil {
+				return nil, fmt.Errorf("multilevel: tier %s epoch %d page %d read: %w", t.name, epoch, id, err)
 			}
 		}
 	}
-	return ep, nil
+	return &EpochData{Epoch: epoch, PageSize: m.PageSize, Pages: pages}, nil
 }
 
 // Has implements EpochHolder: a sealed manifest implies a complete copy

@@ -46,8 +46,7 @@ type Link struct {
 
 	down bool //aickpt:guardedby mu (failure-injection state: link unreachable)
 
-	// stats, guarded by mu
-	messages  int64
+	messages  int64         //aickpt:guardedby mu (stats, like the three below)
 	bytes     int64         //aickpt:guardedby mu
 	busyTime  time.Duration //aickpt:guardedby mu
 	queueTime time.Duration //aickpt:guardedby mu

@@ -3,8 +3,8 @@
 // implementations (see internal/ckpt for the on-disk repository) and
 // virtual-time implementations modeling the paper's testbeds: a local SATA
 // disk (SimDisk) and a PVFS-like parallel file system striped over storage
-// servers (SimPFS). Decorators add replication, erasure coding and
-// compression on top of any Backend.
+// servers (SimPFS). Compression lives in the repository's codec, erasure
+// coding in multilevel.PeerTier, fault injection in internal/faultfs.
 package storage
 
 import "sync"
@@ -26,7 +26,7 @@ import "sync"
 // the same way, so a retained slice WILL be overwritten.
 //
 // Every Backend in this package and internal/ckpt honors this contract;
-// decorators require it of the backends they wrap.
+// TracingStore requires it of the backend it wraps.
 type Backend interface {
 	// WritePage persists one page image for the given epoch. size is the
 	// logical page size in bytes; data holds the image and may be nil in

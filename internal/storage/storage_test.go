@@ -2,23 +2,17 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/compress"
-	"repro/internal/util"
 )
 
-// memSink records pages per backend for decorator tests. Like every real
-// Backend it guards its state: decorators are exercised with concurrent
+// memSink records the pages a backend under test forwards. Like every real
+// Backend it guards its state: TracingStore is exercised with concurrent
 // committer workers.
 type memSink struct {
 	mu     sync.Mutex
 	pages  map[[2]uint64][]byte // (epoch, page) -> data
-	sizes  []int
 	sealed []uint64
-	err    error
 }
 
 func newMemSink() *memSink { return &memSink{pages: map[[2]uint64][]byte{}} }
@@ -26,24 +20,13 @@ func newMemSink() *memSink { return &memSink{pages: map[[2]uint64][]byte{}} }
 func (m *memSink) WritePage(epoch uint64, page int, data []byte, size int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
-	}
-	if m.pages == nil {
-		m.pages = map[[2]uint64][]byte{}
-	}
-	cp := append([]byte(nil), data...)
-	m.pages[[2]uint64{epoch, uint64(page)}] = cp
-	m.sizes = append(m.sizes, size)
+	m.pages[[2]uint64{epoch, uint64(page)}] = append([]byte(nil), data...)
 	return nil
 }
 
 func (m *memSink) EndEpoch(epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
-	}
 	m.sealed = append(m.sealed, epoch)
 	return nil
 }
@@ -53,12 +36,6 @@ func (m *memSink) page(epoch uint64, page int) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pages[[2]uint64{epoch, uint64(page)}]
-}
-
-func (m *memSink) setErr(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.err = err
 }
 
 func TestTracingStoreRecordsOrder(t *testing.T) {
@@ -94,133 +71,6 @@ func TestTracingStoreForwards(t *testing.T) {
 	}
 	if len(sink.sealed) != 1 {
 		t.Error("seal not forwarded")
-	}
-}
-
-func TestCompressingStoreShrinksZeroPages(t *testing.T) {
-	sink := newMemSink()
-	cs := &CompressingStore{Codec: compress.Flate, Next: sink}
-	zero := make([]byte, 4096)
-	if err := cs.WritePage(1, 0, zero, 4096); err != nil {
-		t.Fatal(err)
-	}
-	blob := sink.pages[[2]uint64{1, 0}]
-	if len(blob) != 1 {
-		t.Errorf("zero page compressed to %d bytes, want 1", len(blob))
-	}
-	got, err := compress.Decode(blob, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, zero) {
-		t.Error("decode mismatch")
-	}
-	// Phantom writes pass through with the original size.
-	if err := cs.WritePage(1, 1, nil, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if sink.sizes[len(sink.sizes)-1] != 4096 {
-		t.Error("phantom write size altered")
-	}
-	if err := cs.EndEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReplicatedStoreWritesAll(t *testing.T) {
-	a, b := newMemSink(), newMemSink()
-	rs := &ReplicatedStore{Replicas: []Backend{a, b}}
-	data := []byte{9, 9}
-	if err := rs.WritePage(3, 1, data, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.EndEpoch(3); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []*memSink{a, b} {
-		if !bytes.Equal(s.pages[[2]uint64{3, 1}], data) || len(s.sealed) != 1 {
-			t.Errorf("replica %d missing data", i)
-		}
-	}
-	b.setErr(errors.New("disk died"))
-	if err := rs.WritePage(3, 2, data, 2); err == nil {
-		t.Error("replica failure not surfaced")
-	}
-	if err := rs.EndEpoch(3); err == nil {
-		t.Error("replica seal failure not surfaced")
-	}
-}
-
-func TestErasureStoreReconstructs(t *testing.T) {
-	const k, m, pageSize = 3, 2, 96
-	sinks := make([]*memSink, k+m)
-	backends := make([]Backend, k+m)
-	for i := range sinks {
-		sinks[i] = newMemSink()
-		backends[i] = sinks[i]
-	}
-	es, err := NewErasureStore(k, m, pageSize, backends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := util.NewRNG(5)
-	data := make([]byte, pageSize)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
-	}
-	if err := es.WritePage(1, 4, data, pageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := es.EndEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-	// Lose two arbitrary shards; reconstruction must still succeed.
-	got, err := es.Reconstruct(func(i int) []byte {
-		if i == 1 || i == 3 {
-			return nil
-		}
-		return sinks[i].pages[[2]uint64{1, 4}]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("reconstruction mismatch")
-	}
-	// Losing m+1 shards must fail.
-	_, err = es.Reconstruct(func(i int) []byte {
-		if i <= 2 {
-			return nil
-		}
-		return sinks[i].pages[[2]uint64{1, 4}]
-	})
-	if err == nil {
-		t.Error("expected failure with too many losses")
-	}
-}
-
-func TestErasureStorePhantomSplitsSize(t *testing.T) {
-	const k, m = 4, 1
-	sinks := make([]*memSink, k+m)
-	backends := make([]Backend, k+m)
-	for i := range sinks {
-		sinks[i] = newMemSink()
-		backends[i] = sinks[i]
-	}
-	es, err := NewErasureStore(k, m, 4096, backends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := es.WritePage(1, 0, nil, 4096); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sinks {
-		if len(s.sizes) != 1 || s.sizes[0] != 1024 {
-			t.Errorf("backend %d sizes = %v, want one 1024-byte shard", i, s.sizes)
-		}
-	}
-	if _, err := NewErasureStore(2, 2, 4096, backends); err == nil {
-		t.Error("backend count mismatch accepted")
 	}
 }
 

@@ -2,7 +2,7 @@ package aickpt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ckpt"
 )
@@ -30,25 +30,18 @@ func (im *Image) Page(id int) []byte { return im.inner.PageOr(id) }
 func (im *Image) SegmentsRead() int { return im.inner.SegmentsRead }
 
 // PageIDs returns the sorted IDs of all pages present in the image.
-func (im *Image) PageIDs() []int {
-	ids := make([]int, 0, len(im.inner.Pages))
-	for id := range im.inner.Pages {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
+func (im *Image) PageIDs() []int { return slices.Clone(im.inner.Pages.IDs()) }
 
 // Restore reads the checkpoint repository in dir and folds all sealed
 // epochs into a memory image. Epochs interrupted by a crash before sealing
 // are ignored: the restart point is the last completed checkpoint.
 // Segments are parsed by min(GOMAXPROCS, 8) concurrent readers and folded
-// in chain order, so the image is bit-identical to a serial restore; use
-// RestoreWorkers to pin the worker count (1 = serial).
+// in chain order, so the image is the same for any reader count; use
+// RestoreWorkers to pin it.
 func Restore(dir string) (*Image, error) { return RestoreWorkers(dir, 0) }
 
-// RestoreWorkers is Restore with an explicit segment-reader count:
-// 1 restores serially, 0 picks min(GOMAXPROCS, 8).
+// RestoreWorkers is Restore with an explicit segment-reader count; 0 picks
+// min(GOMAXPROCS, 8).
 func RestoreWorkers(dir string, workers int) (*Image, error) {
 	fs, err := ckpt.NewOSFS(dir)
 	if err != nil {

@@ -45,50 +45,17 @@ type SegmentHealth struct {
 	Damaged bool `json:"damaged,omitempty"`
 }
 
-// ScrubEntry is one scrub finding and what the pass did about it.
-type ScrubEntry struct {
-	Epoch  uint64 `json:"epoch"`
-	IsBase bool   `json:"is_base,omitempty"`
-	// Status is the health status that triggered the entry (or
-	// "drain-failed" for requeued tier copies).
-	Status string `json:"status"`
-	// Action records the outcome: "repaired from <tier>", "requeued",
-	// "unrepaired: <reason>", or "" for torn tails (nothing to do).
-	Action string `json:"action,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
+// ScrubEntry is one scrub finding and what the pass did about it: the
+// health status that triggered it (or "drain-failed" for requeued tier
+// copies) and the outcome — "repaired from <tier>", "requeued",
+// "unrepaired: <reason>", or "" for torn tails.
+type ScrubEntry = multilevel.ScrubEntry
 
-// ScrubReport summarizes one scrub pass.
-type ScrubReport struct {
-	// Checked counts the chain entries verified.
-	Checked int `json:"checked"`
-	// Corrupt counts the damaged entries found (torn tails excluded).
-	Corrupt int `json:"corrupt"`
-	// Repaired / Unrepaired split Corrupt by outcome. Without redundant
-	// tiers every damaged entry is Unrepaired (verify-only scrub).
-	Repaired   int `json:"repaired"`
-	Unrepaired int `json:"unrepaired"`
-	// Requeued counts tier copies that had exhausted their drain retry
-	// budget and were re-enqueued for promotion.
-	Requeued int          `json:"requeued"`
-	Entries  []ScrubEntry `json:"entries,omitempty"`
-}
-
-func scrubReportToPublic(rep multilevel.ScrubReport) ScrubReport {
-	out := ScrubReport{
-		Checked:    rep.Checked,
-		Corrupt:    rep.Corrupt,
-		Repaired:   rep.Repaired,
-		Unrepaired: rep.Unrepaired,
-		Requeued:   rep.Requeued,
-	}
-	for _, e := range rep.Entries {
-		out.Entries = append(out.Entries, ScrubEntry{
-			Epoch: e.Epoch, IsBase: e.IsBase, Status: e.Status, Action: e.Action, Detail: e.Detail,
-		})
-	}
-	return out
-}
+// ScrubReport summarizes one scrub pass: entries checked, damaged entries
+// found (torn tails excluded) split into Repaired and Unrepaired — without
+// redundant tiers every damaged entry is Unrepaired — and tier copies
+// re-enqueued after exhausting their drain retry budget.
+type ScrubReport = multilevel.ScrubReport
 
 func healthToPublic(hs []ckpt.SegmentHealth) []SegmentHealth {
 	out := make([]SegmentHealth, len(hs))
@@ -108,10 +75,7 @@ func healthToPublic(hs []ckpt.SegmentHealth) []SegmentHealth {
 // copies that exhausted their drain retry budget are re-enqueued for
 // promotion (so a tier that recovered catches back up). It is safe to run
 // concurrently with checkpoints and active drains.
-func (h *Hierarchy) Scrub() (ScrubReport, error) {
-	rep, err := h.inner.Scrub()
-	return scrubReportToPublic(rep), err
-}
+func (h *Hierarchy) Scrub() (ScrubReport, error) { return h.inner.Scrub() }
 
 // Scrub verifies the runtime's checkpoint chain and repairs what its
 // store allows. With Options.Tiers it is the self-healing hierarchy scrub
