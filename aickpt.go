@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/compact"
@@ -560,44 +559,19 @@ func (rt *Runtime) Epochs() []EpochRecord {
 // than the fold cost.
 func (rt *Runtime) CompactNow() (CompactionResult, error) {
 	if rt.compactor != nil {
-		return publicResult(rt.compactor.CompactNow())
+		return rt.compactor.CompactNow()
 	}
 	if rt.compactCfg == nil {
 		return CompactionResult{}, errors.New("aickpt: compaction needs a repository (Dir or Tiers), not a custom Store")
 	}
-	return publicResult(compact.RunOnce(*rt.compactCfg, true))
+	return compact.RunOnce(*rt.compactCfg, true)
 }
 
-// CompactionResult describes one compaction pass.
-type CompactionResult struct {
-	// Compacted is true when a new consolidated base was committed.
-	Compacted bool
-	// BaseFrom / BaseTo is the epoch range the committed base covers.
-	BaseFrom, BaseTo uint64
-	// EpochsFolded counts the epochs folded into the base this pass.
-	EpochsFolded int
-	// BytesWritten is the size of the new base segment.
-	BytesWritten int64
-	// BytesReclaimed / FilesRemoved count the storage garbage-collected.
-	BytesReclaimed int64
-	FilesRemoved   int
-	// LiveSegments is the number of segments a restore reads after the
-	// pass.
-	LiveSegments int
-}
-
-func publicResult(r compact.Result, err error) (CompactionResult, error) {
-	return CompactionResult{
-		Compacted:      r.Compacted,
-		BaseFrom:       r.BaseFrom,
-		BaseTo:         r.BaseTo,
-		EpochsFolded:   r.EpochsFolded,
-		BytesWritten:   r.BytesWritten,
-		BytesReclaimed: r.BytesReclaimed,
-		FilesRemoved:   r.FilesRemoved,
-		LiveSegments:   r.LiveSegments,
-	}, err
-}
+// CompactionResult describes one compaction pass: whether a new base was
+// committed and over which epoch range, how many epochs it folded, the
+// size of the new base segment, the storage garbage-collected, and the
+// number of segments a restore reads afterwards.
+type CompactionResult = compact.Result
 
 // StorageStats reports the repository-side counters of the runtime:
 // content-addressed dedup activity and background compaction totals. With
@@ -676,74 +650,14 @@ func (rt *Runtime) Close() error {
 }
 
 // Stats returns per-checkpoint statistics (one entry per Checkpoint call).
-func (rt *Runtime) Stats() []EpochStats {
-	internal := rt.manager.Stats()
-	out := make([]EpochStats, len(internal))
-	for i, s := range internal {
-		out[i] = EpochStats{
-			Epoch:               s.Epoch,
-			PagesCommitted:      s.PagesCommitted,
-			BytesCommitted:      s.BytesCommitted,
-			Waits:               s.Waits,
-			Cows:                s.Cows,
-			Avoided:             s.Avoided,
-			After:               s.After,
-			WaitTime:            s.WaitTime,
-			BlockedInCheckpoint: s.BlockedInCheckpoint,
-			Duration:            s.Duration,
-			FaultArrivals:       s.FaultArrivals,
-			RankPairs:           s.RankPairs,
-			FootruleSum:         s.FootruleSum,
-			MaxWaitedDepth:      s.MaxWaitedDepth,
-		}
-	}
-	return out
-}
+func (rt *Runtime) Stats() []EpochStats { return rt.manager.Stats() }
 
 // EpochStats describes one checkpoint: the size of its dirty set, how the
 // application's first writes were classified until the next checkpoint
-// (COW / WAIT / AVOIDED / AFTER), and the timing metrics used throughout
-// the paper's evaluation.
-type EpochStats struct {
-	Epoch               uint64
-	PagesCommitted      int
-	BytesCommitted      int64
-	Waits               int
-	Cows                int
-	Avoided             int
-	After               int
-	WaitTime            time.Duration
-	BlockedInCheckpoint time.Duration
-	Duration            time.Duration
-
-	// Selector prediction scorecard scalars (full scorecards, including
-	// the per-region heatmaps, come from Runtime.Scorecards).
-
-	// FaultArrivals is the number of first-write faults during the
-	// epoch's access window.
-	FaultArrivals int
-	// RankPairs / FootruleSum accumulate the Spearman footrule between
-	// the selector's flush order and the fault arrival order over pages
-	// both flushed and faulted.
-	RankPairs   int
-	FootruleSum int64
-	// MaxWaitedDepth is the peak waited-queue depth during the epoch.
-	MaxWaitedDepth int
-}
-
-// HitRate is the epoch's flushed-before-faulted hit rate:
-// AVOIDED / (WAIT + COW + AVOIDED), 0 when no overlapping access
-// happened.
-func (e EpochStats) HitRate() float64 {
-	return obs.ScoreHitRate(e.Waits, e.Cows, e.Avoided)
-}
-
-// RankCorrelation is the footrule rank correlation between the
-// selector's flush order and the actual fault arrival order (1 =
-// identical orders, ~0 = random, negative = anti-correlated).
-func (e EpochStats) RankCorrelation() float64 {
-	return obs.ScoreRankCorrelation(e.FootruleSum, e.RankPairs, e.PagesCommitted, e.FaultArrivals)
-}
+// (COW / WAIT / AVOIDED / AFTER), the timing metrics used throughout the
+// paper's evaluation, and the selector prediction scorecard's counters
+// with HitRate and RankCorrelation derived from them.
+type EpochStats = core.EpochStats
 
 // Allocator is the transparent-capture allocator: all allocations made
 // through it are protected and checkpointed.

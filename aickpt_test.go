@@ -608,7 +608,7 @@ func TestCompactionWithTiers(t *testing.T) {
 	// The tier manifests now show the base and the superseded epochs.
 	var sawBase bool
 	for _, m := range rt.Hierarchy().Manifests() {
-		if m.IsBase {
+		if m.Base != nil {
 			sawBase = true
 		}
 	}

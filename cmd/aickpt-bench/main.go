@@ -1,137 +1,75 @@
-// Command aickpt-bench runs checkpointing benchmarks in the virtual-time
-// simulator.
+// Command aickpt-bench runs the virtual-time simulator: the paper's
+// evaluation figures and the model questions about the storage stack, one
+// scenario per name, from the table in internal/experiments.
 //
-// The default scenario ("synthetic") is the paper's §4.3 memory-intensive
-// benchmark: a region touched fully per iteration in a configurable order,
-// checkpointed periodically, under one of the three checkpointing
-// approaches, on a simulated Grid'5000 node. It prints the execution-time
-// overhead and the access-type statistics of Figures 2(a)-(c).
+//	aickpt-bench [-scale N] <scenario>... | all
 //
-// The "tiers" scenario compares 1-, 2- and 3-tier multi-level checkpoint
-// hierarchies (local disk, erasure-coded peers, parallel file system)
-// under injected failures: the local tier is wiped and peer nodes are
-// killed after the run, then a tier-aware restore rebuilds the memory
-// image from whatever survives.
+// Output is deterministic: the same scenario at the same scale prints the
+// same bytes on every run and every host. Real-time figures come from
+// benchmark/ instead.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
-func main() {
-	scenario := flag.String("scenario", "synthetic", "scenario: synthetic (Fig 2 benchmark), tiers (multi-level hierarchy under failures), chain (dedup + compaction vs chain growth), parallel (commit-pipeline worker scaling), hotpath (real-time commit-path throughput and blocked time), restore (restore-pipeline worker scaling + GF kernel)")
-	jsonPath := flag.String("json", "", "append machine-readable result records to this JSON file (hotpath, parallel, tiers and restore scenarios)")
-	hotPages := flag.Int("hotpath-pages", 2048, "hotpath scenario: working-set pages (4 KB each)")
-	hotEpochs := flag.Int("hotpath-epochs", 8, "hotpath scenario: measured checkpoints per sweep point")
-	hotWorkers := flag.Int("hotpath-workers", 1, "hotpath scenario: commit workers")
-	debugAddr := flag.String("debug-addr", "", "hotpath scenario: serve the live debug endpoint on this address during the largest sweep point and self-scrape /metrics and /trace (e.g. 127.0.0.1:0)")
-	patternFlag := flag.String("pattern", "ascending", "access pattern: ascending, random, descending")
-	strategyFlag := flag.String("strategy", "adaptive", "approach: adaptive, no-pattern, sync")
-	scale := flag.Int("scale", experiments.ScaleBench, "memory division factor (1 = 256 MB region)")
-	cowMB := flag.Int("cow", 16, "COW buffer size in MB before scaling")
-	iterations := flag.Int("iterations", 39, "total iterations")
-	every := flag.Int("every", 10, "checkpoint every N iterations")
-	peerFailures := flag.Int("peer-failures", 1, "tiers scenario: peer nodes killed before restore")
-	chainEpochs := flag.Int("chain-epochs", 128, "chain scenario: epochs sealed")
-	chainDepth := flag.Int("chain-depth", 8, "chain scenario: compaction depth bound")
-	chainPages := flag.Int("chain-pages", 256, "chain scenario: working-set pages")
-	parPages := flag.Int("parallel-pages", 2048, "parallel scenario: working-set pages (4 KB each)")
-	parEpochs := flag.Int("parallel-epochs", 4, "parallel scenario: checkpoints taken")
-	parServers := flag.Int("parallel-servers", 8, "parallel scenario: simulated PFS servers")
-	parInterfere := flag.Int("parallel-interfere", 32, "parallel scenario: pages rewritten mid-flush per epoch")
-	parWorkers := flag.String("parallel-workers", "1,2,4,8", "parallel scenario: comma-separated commit worker counts (first is the baseline)")
-	resEpochs := flag.Int("restore-epochs", 48, "restore scenario: chain width (sealed epochs)")
-	resPages := flag.Int("restore-pages", 64, "restore scenario: pages rewritten per epoch (4 KB each)")
-	resServers := flag.Int("restore-servers", 8, "restore scenario: simulated PFS servers")
-	resWorkers := flag.String("restore-workers", "1,2,4,8", "restore scenario: comma-separated epoch-loader counts (first is the baseline)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *scenario == "restore" {
-		restoreScenario(*resEpochs, *resPages, *resServers, *resWorkers, *jsonPath)
-		return
-	}
-
-	if *scenario == "chain" {
-		chainScenario(*chainEpochs, *chainDepth, *chainPages)
-		return
-	}
-
-	if *scenario == "parallel" {
-		parallelScenario(*parPages, *parEpochs, *parServers, *parInterfere, *parWorkers, *jsonPath)
-		return
-	}
-
-	if *scenario == "hotpath" {
-		hotpathScenario(*hotPages, *hotEpochs, *hotWorkers, *jsonPath, *debugAddr)
-		return
-	}
-
-	if *scenario == "tiers" {
-		// The -iterations/-every defaults are tuned for the synthetic
-		// scenario; when the user did not set them explicitly, use a
-		// tiers-sized default instead.
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		it, ev := *iterations, *every
-		if !explicit["iterations"] {
-			it = 6
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code: 0 done, 1 a scenario's own assertion failed, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aickpt-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 64, fmt.Sprintf("memory division factor of the figures, 1 (paper sizes) to %d", experiments.MaxScale))
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: aickpt-bench [-scale N] <scenario>... | all")
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "scenarios:")
+		for _, s := range experiments.Scenarios {
+			fmt.Fprintf(stderr, "  %-9s %s\n", s.Name, s.Doc)
 		}
-		if !explicit["every"] {
-			ev = 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		tiersScenario(it, ev, *peerFailures, *jsonPath)
-		return
+		return 2
 	}
-	if *scenario != "synthetic" {
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
-		os.Exit(2)
+	if *scale < 1 || *scale > experiments.MaxScale {
+		fmt.Fprintf(stderr, "aickpt-bench: -scale %d out of range [1, %d]\n", *scale, experiments.MaxScale)
+		return 2
 	}
-
-	var pattern workload.Pattern
-	switch *patternFlag {
-	case "ascending":
-		pattern = workload.Ascending
-	case "random":
-		pattern = workload.Random
-	case "descending":
-		pattern = workload.Descending
-	default:
-		fmt.Fprintf(os.Stderr, "unknown pattern %q\n", *patternFlag)
-		os.Exit(2)
+	var todo []experiments.Scenario
+	for _, name := range fs.Args() {
+		if name == "all" {
+			todo = append(todo, experiments.Scenarios...)
+			continue
+		}
+		s, ok := experiments.Lookup(name)
+		if !ok {
+			fmt.Fprintf(stderr, "aickpt-bench: unknown scenario %q\n", name)
+			fs.Usage()
+			return 2
+		}
+		todo = append(todo, s)
 	}
-	var strategy core.Strategy
-	switch *strategyFlag {
-	case "adaptive":
-		strategy = core.Adaptive
-	case "no-pattern":
-		strategy = core.NoPattern
-	case "sync":
-		strategy = core.Sync
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategyFlag)
-		os.Exit(2)
+	if len(todo) == 0 {
+		fs.Usage()
+		return 2
 	}
-
-	cfg := experiments.NewSyntheticConfig(*scale, pattern)
-	cfg.Iterations = *iterations
-	cfg.CkptEvery = *every
-	cfg.CowSlots = *cowMB << 20 / experiments.PageSize / *scale
-
-	base := experiments.SyntheticBaseline(cfg)
-	run := experiments.RunSynthetic(cfg, strategy)
-	run.Baseline = base
-
-	fmt.Printf("pattern=%v strategy=%v pages=%d cow-slots=%d\n", pattern, strategy, cfg.Pages, cfg.CowSlots)
-	fmt.Printf("baseline runtime:        %v\n", base)
-	fmt.Printf("runtime with checkpoints: %v\n", run.Runtime)
-	fmt.Printf("increase in execution time: %v\n", run.Overhead())
-	fmt.Printf("avg checkpointing time:  %v\n", run.AvgCkptTime)
-	fmt.Printf("access types per checkpoint: WAIT=%.1f COW=%.1f AVOIDED=%.1f AFTER=%.1f\n",
-		run.AvgWaits, run.AvgCows, run.AvgAvoided, run.AvgAfter)
+	for i, s := range todo {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := s.Run(stdout, *scale); err != nil {
+			fmt.Fprintf(stderr, "aickpt-bench: %s: %v\n", s.Name, err)
+			return 1
+		}
+	}
+	return 0
 }

@@ -120,8 +120,8 @@ func main() {
 		fmt.Printf("%-16s %-10s %-8s %-12s %s\n", "entry", "tier", "level", "state", "shards")
 		for _, m := range tiers {
 			entry := fmt.Sprintf("epoch %d", m.Epoch)
-			if m.IsBase {
-				entry = fmt.Sprintf("base [%d,%d]", m.BaseFrom, m.BaseTo)
+			if m.Base != nil {
+				entry = fmt.Sprintf("base [%d,%d]", m.Base.From, m.Base.To)
 			}
 			for _, tc := range m.Tiers {
 				layout := "-"

@@ -100,6 +100,10 @@ func TestScrapeNeverBlocksCheckpoint(t *testing.T) {
 	for _, family := range []string{
 		"aickpt_core_checkpoints_total",
 		"aickpt_core_faults_total",
+		"aickpt_core_checkpoint_blocked_ns",
+		"aickpt_core_fault_ns",
+		"aickpt_core_commit_write_ns",
+		"aickpt_ckpt_record_write_ns",
 		"aickpt_ckpt_dedup_hits_total",
 		"aickpt_multilevel_epochs_drained_total",
 		"aickpt_compact_compactions_total",
@@ -130,6 +134,22 @@ func TestScrapeNeverBlocksCheckpoint(t *testing.T) {
 	if len(trace) == 0 {
 		t.Error("/trace empty during an active epoch")
 	}
+	assertTraceOrdered := func(stages ...string) {
+		t.Helper()
+		seen := map[string]bool{}
+		for i, e := range trace {
+			if i > 0 && e.Seq <= trace[i-1].Seq {
+				t.Fatalf("/trace out of order at index %d: seq %d after %d", i, e.Seq, trace[i-1].Seq)
+			}
+			seen[e.Stage] = true
+		}
+		for _, stage := range stages {
+			if !seen[stage] {
+				t.Errorf("/trace has no %q event among %d", stage, len(trace))
+			}
+		}
+	}
+	assertTraceOrdered("fault", "checkpoint")
 
 	// A burst of scrapes while the app requests the next checkpoint: the
 	// Checkpoint call may block on the frozen committer (epoch rotation),
@@ -159,6 +179,10 @@ func TestScrapeNeverBlocksCheckpoint(t *testing.T) {
 		t.Fatal("Checkpoint still blocked after the store opened — a scrape is holding the pipeline")
 	}
 	rt.WaitIdle()
+	if err := json.Unmarshal(get("/trace"), &trace); err != nil {
+		t.Fatalf("/trace: %v", err)
+	}
+	assertTraceOrdered("fault", "checkpoint", "write", "seal")
 }
 
 // TestRuntimeMetricsAccessors covers the snapshot/trace accessors and the

@@ -78,5 +78,5 @@ func main() {
 	fmt.Println("order tracks the fault order of this descending workload (corr near 1)")
 	fmt.Println("where the address-ordered flush shows no correlation at all.")
 	fmt.Println("Real-time sleep granularity blurs the adaptive-vs-no-pattern gap here;")
-	fmt.Println("run `go run ./cmd/experiments -fig 2` for the calibrated comparison.")
+	fmt.Println("run `go run ./cmd/aickpt-bench fig2` for the calibrated comparison.")
 }

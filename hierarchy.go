@@ -2,7 +2,6 @@ package aickpt
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/multilevel"
@@ -44,14 +43,7 @@ type TierSpec struct {
 // DrainPolicy bounds the background promotion of sealed checkpoints to
 // lower tiers. The zero value selects defaults (queue depth 4, one worker
 // per tier, 4 attempts, 10ms initial backoff doubling up to a 1s cap).
-type DrainPolicy struct {
-	QueueDepth   int
-	Workers      int
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// MaxRetryBackoff caps the doubling retry delay; 0 selects 1s.
-	MaxRetryBackoff time.Duration
-}
+type DrainPolicy = multilevel.DrainPolicy
 
 // Hierarchy is a multi-level checkpoint store: pages are acknowledged at
 // local-tier speed and drained in the background to more resilient tiers.
@@ -163,14 +155,8 @@ func newHierarchy(pageSize int, specs []TierSpec, drain DrainPolicy, metrics *ob
 		PageSize: pageSize,
 		Local:    local,
 		Lower:    lower,
-		Drain: multilevel.DrainPolicy{
-			QueueDepth:      drain.QueueDepth,
-			Workers:         drain.Workers,
-			MaxAttempts:     drain.MaxAttempts,
-			RetryBackoff:    drain.RetryBackoff,
-			MaxRetryBackoff: drain.MaxRetryBackoff,
-		},
-		Metrics: metrics,
+		Drain:    drain,
+		Metrics:  metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -224,7 +210,7 @@ func (h *Hierarchy) RestoreWorkers(workers int) (*Image, []TierRestoreStep, erro
 // Manifests returns the per-epoch tier manifests: which tiers hold each
 // epoch, in what state, and the erasure shard layout on sharding tiers.
 func (h *Hierarchy) Manifests() []EpochTierManifest {
-	return manifestsToPublic(h.inner.Manifests())
+	return h.inner.Manifests()
 }
 
 // FailPeerNode marks node index node of the first peer tier as failed:
@@ -251,74 +237,29 @@ func (h *Hierarchy) WipeLocal() error { return h.inner.Local().Wipe() }
 // tiers were skipped.
 type TierRestoreStep = multilevel.RestoreStep
 
-// EpochTierManifest records where one checkpoint epoch (or promoted
-// compacted base) lives.
-type EpochTierManifest struct {
-	Epoch     uint64
-	PageSize  int
-	PageCount int
-	Tiers     []TierCopyReport
-	// IsBase marks the manifest of a compacted base segment covering
-	// [BaseFrom, BaseTo], promoted through the hierarchy in place of the
-	// epochs it folded.
-	IsBase           bool
-	BaseFrom, BaseTo uint64
-}
+// EpochTierManifest records where one checkpoint epoch lives: its page
+// geometry and one TierCopyReport per tier. Base is set on the manifest of
+// a compacted base segment, promoted through the hierarchy in place of the
+// epochs [Base.From, Base.To] it folded.
+type EpochTierManifest = multilevel.EpochManifest
 
 // TierCopyReport is one tier's relationship to an epoch: "stored",
-// "draining" or "failed", plus the shard layout on sharding tiers.
-type TierCopyReport struct {
-	Tier   string
-	Level  int
-	State  string
-	Err    string
-	Shards *ShardLayoutReport
-}
+// "draining", "degraded", "failed" or "superseded", plus the shard layout
+// on sharding tiers.
+type TierCopyReport = multilevel.TierCopy
 
 // ShardLayoutReport describes the erasure layout of an epoch on a peer
 // tier: k data + m parity shards, shard i on Nodes[i].
-type ShardLayoutReport struct {
-	Data, Parity, Start int
-	Nodes               []string
-}
-
-func manifestsToPublic(ms []multilevel.EpochManifest) []EpochTierManifest {
-	out := make([]EpochTierManifest, len(ms))
-	for i, m := range ms {
-		pm := EpochTierManifest{Epoch: m.Epoch, PageSize: m.PageSize, PageCount: m.PageCount}
-		if m.Base != nil {
-			pm.IsBase = true
-			pm.BaseFrom, pm.BaseTo = m.Base.From, m.Base.To
-		}
-		for _, tc := range m.Tiers {
-			rep := TierCopyReport{Tier: tc.Tier, Level: tc.Level, State: tc.State, Err: tc.Err}
-			if tc.Shards != nil {
-				rep.Shards = &ShardLayoutReport{
-					Data:   tc.Shards.Data,
-					Parity: tc.Shards.Parity,
-					Start:  tc.Shards.Start,
-					Nodes:  append([]string(nil), tc.Shards.Nodes...),
-				}
-			}
-			pm.Tiers = append(pm.Tiers, rep)
-		}
-		out[i] = pm
-	}
-	return out
-}
+type ShardLayoutReport = multilevel.ShardLayout
 
 // InspectTiers reads the tier manifests mirrored into a checkpoint
 // directory (the tiers-NNNNNNNN.json files written next to the epoch
 // files) — the offline view of where each epoch lives; it backs the
 // ckpt-inspect tool.
 func InspectTiers(dir string) ([]EpochTierManifest, error) {
-	fs, err := ckpt.NewOSFS(dir)
+	fs, err := ckpt.OpenOSFS(dir)
 	if err != nil {
 		return nil, err
 	}
-	ms, err := multilevel.ReadTierManifests(fs)
-	if err != nil {
-		return nil, err
-	}
-	return manifestsToPublic(ms), nil
+	return multilevel.ReadTierManifests(fs)
 }

@@ -196,7 +196,9 @@ type OSFS struct {
 }
 
 // NewOSFS creates (if necessary) and wraps dir, sweeping any staging files
-// orphaned by an earlier crash mid-publish.
+// orphaned by an earlier crash mid-publish. It is the writer's opener: the
+// sweep would unlink the staging file of a publish in flight, so only the
+// process that owns the directory may call it (readers use OpenOSFS).
 func NewOSFS(dir string) (*OSFS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -207,6 +209,21 @@ func NewOSFS(dir string) (*OSFS, error) {
 				_ = os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
+	}
+	return &OSFS{Dir: dir}, nil
+}
+
+// OpenOSFS wraps an existing directory for a reader (restore, verify,
+// inspect): unlike NewOSFS it neither creates dir nor sweeps staging
+// files, so it is safe on the directory of a live runtime that is in the
+// middle of a publish. A missing directory is an error.
+func OpenOSFS(dir string) (*OSFS, error) {
+	info, err := os.Stat(dir)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	if !info.IsDir() {
+		return nil, fmt.Errorf("ckpt: %s is not a directory", dir)
 	}
 	return &OSFS{Dir: dir}, nil
 }

@@ -44,12 +44,9 @@ type SegmentHealth struct {
 	// PageCount is the entry's physical record count (0 when the manifest
 	// is unreadable).
 	PageCount int `json:"page_count"`
-}
-
-// Damaged reports whether the entry needs repair (torn tails do not: they
-// were never sealed).
-func (h SegmentHealth) Damaged() bool {
-	return h.Status != StatusOK && h.Status != StatusTornTail
+	// Damaged reports whether the entry needs repair (torn tails do not:
+	// they were never sealed).
+	Damaged bool `json:"damaged,omitempty"`
 }
 
 // VerifyChain is a read-only scrub of the live chain: it loads whatever
@@ -69,7 +66,7 @@ func VerifyChain(fs FS) ([]SegmentHealth, error) {
 		if is.TornTail {
 			h.Status = StatusTornTail
 		} else {
-			h.Status = StatusManifestCorrupt
+			h.Status, h.Damaged = StatusManifestCorrupt, true
 		}
 		if is.Err != nil {
 			h.Detail = is.Err.Error()
@@ -93,7 +90,7 @@ func VerifyChain(fs FS) ([]SegmentHealth, error) {
 			} else {
 				h.Status = StatusSegmentCorrupt
 			}
-			h.Detail = err.Error()
+			h.Detail, h.Damaged = err.Error(), true
 		}
 		out = append(out, h)
 	}

@@ -50,8 +50,8 @@ func TestVerifyChainCleanChain(t *testing.T) {
 		t.Fatalf("got %d entries, want 3", len(hs))
 	}
 	for _, h := range hs {
-		if h.Status != StatusOK || h.Damaged() {
-			t.Errorf("%s: status %q damaged=%v, want ok", h.Manifest, h.Status, h.Damaged())
+		if h.Status != StatusOK || h.Damaged {
+			t.Errorf("%s: status %q damaged=%v, want ok", h.Manifest, h.Status, h.Damaged)
 		}
 		if h.PageCount != int(h.Epoch) {
 			t.Errorf("%s: PageCount = %d, want %d", h.Manifest, h.PageCount, h.Epoch)
@@ -75,7 +75,7 @@ func TestVerifyChainTruncatedSegmentTail(t *testing.T) {
 	if len(by[StatusSegmentCorrupt]) != 1 || by[StatusSegmentCorrupt][0].Epoch != 2 {
 		t.Fatalf("want epoch 2 segment-corrupt, got %+v", hs)
 	}
-	if !by[StatusSegmentCorrupt][0].Damaged() {
+	if !by[StatusSegmentCorrupt][0].Damaged {
 		t.Error("truncated tail must count as damage")
 	}
 	if len(by[StatusOK]) != 1 || by[StatusOK][0].Epoch != 1 {
@@ -130,7 +130,7 @@ func TestVerifyChainTornTailManifest(t *testing.T) {
 	}
 	by := healthByStatus(hs)
 	torn := by[StatusTornTail]
-	if len(torn) != 1 || torn[0].Epoch != 3 || torn[0].Damaged() {
+	if len(torn) != 1 || torn[0].Epoch != 3 || torn[0].Damaged {
 		t.Fatalf("want epoch 3 torn-tail (not damaged), got %+v", hs)
 	}
 	if len(by[StatusOK]) != 2 {
@@ -161,7 +161,7 @@ func TestVerifyChainInteriorCorruptManifest(t *testing.T) {
 	}
 	by := healthByStatus(hs)
 	bad := by[StatusManifestCorrupt]
-	if len(bad) != 1 || bad[0].Epoch != 1 || !bad[0].Damaged() {
+	if len(bad) != 1 || bad[0].Epoch != 1 || !bad[0].Damaged {
 		t.Fatalf("want epoch 1 manifest-corrupt (damaged), got %+v", hs)
 	}
 	if _, err := LoadChain(fs); err == nil {
@@ -188,7 +188,7 @@ func TestVerifyChainCorruptBaseManifest(t *testing.T) {
 	}
 	by := healthByStatus(hs)
 	torn := by[StatusTornTail]
-	if len(torn) != 1 || !torn[0].IsBase || torn[0].Damaged() {
+	if len(torn) != 1 || !torn[0].IsBase || torn[0].Damaged {
 		t.Fatalf("corrupt base manifest should be a torn (base) artifact, got %+v", hs)
 	}
 	if len(by[StatusOK]) != 3 {
@@ -320,7 +320,7 @@ func TestRewriteEpochRepairsCorruptSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range hs {
-		if h.Damaged() {
+		if h.Damaged {
 			t.Errorf("%s still %q after rewrite: %s", h.Manifest, h.Status, h.Detail)
 		}
 	}

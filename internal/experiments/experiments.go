@@ -1,16 +1,17 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (§4): the synthetic-benchmark family (Figure 2a/2b/2c), CM1 weak
-// scalability and COW sweep (Figures 3a/3b/4a) and MILC weak scalability
-// and COW sweep (Figures 5/4b). Each experiment runs the same page-manager
-// code as the real-time library, inside the deterministic virtual-time
-// kernel, against storage and network models calibrated to the paper's
-// testbeds.
+// Package experiments is the virtual-time simulator behind
+// cmd/aickpt-bench: a table of scenarios (Scenarios) that regenerates every
+// figure of the paper's evaluation (§4) — the synthetic-benchmark family
+// (Figure 2a/2b/2c), CM1 weak scalability and COW sweep (Figures 3a/3b/4a)
+// and MILC weak scalability and COW sweep (Figures 5/4b) — and answers the
+// model questions about the storage stack (tiers, parallel, restore). Each
+// scenario runs the same page-manager and storage code as the real-time
+// library, inside the deterministic virtual-time kernel, against storage
+// and network models calibrated to the paper's testbeds.
 //
-// Experiments accept a memory-division factor ("scale"): Scale=1 is the
+// The figures accept a memory-division factor ("scale"): Scale=1 is the
 // paper's sizes (slow: tens of millions of simulated events), larger
 // factors shrink every memory quantity proportionally — including the COW
 // buffer — preserving the ratios that drive the checkpointing dynamics.
-// EXPERIMENTS.md records the shape comparison against the paper.
 package experiments
 
 import (
@@ -22,11 +23,10 @@ import (
 
 // Scale presets.
 const (
-	// ScalePaper runs the paper's exact memory sizes.
-	ScalePaper = 1
-	// ScaleBench is the default for benchmarks and the experiments tool.
+	// ScaleBench is large enough for the scorecard to tell the strategies
+	// apart.
 	ScaleBench = 16
-	// ScaleTiny keeps unit tests fast.
+	// ScaleTiny keeps unit tests fast; the golden files are pinned at it.
 	ScaleTiny = 256
 )
 
@@ -89,8 +89,7 @@ func foldStats(run *Run, all [][]core.EpochStats) {
 	var ckptSum time.Duration
 	var ckptN int
 	var wSum, cSum, aSum, fSum, n float64
-	var waits, cows, avoided, pairs int
-	var corrWeighted float64
+	var cards []obs.Scorecard
 	for _, stats := range all {
 		for i, ep := range stats {
 			if i > 0 { // skip the full checkpoint, as the paper does
@@ -101,13 +100,7 @@ func foldStats(run *Run, all [][]core.EpochStats) {
 			cSum += float64(ep.Cows)
 			aSum += float64(ep.Avoided)
 			fSum += float64(ep.After)
-			waits += ep.Waits
-			cows += ep.Cows
-			avoided += ep.Avoided
-			if ep.RankPairs > 0 {
-				corrWeighted += ep.RankCorrelation() * float64(ep.RankPairs)
-				pairs += ep.RankPairs
-			}
+			cards = append(cards, ep.Scorecard())
 			n++
 		}
 	}
@@ -117,8 +110,5 @@ func foldStats(run *Run, all [][]core.EpochStats) {
 	if n > 0 {
 		run.AvgWaits, run.AvgCows, run.AvgAvoided, run.AvgAfter = wSum/n, cSum/n, aSum/n, fSum/n
 	}
-	run.HitRate = obs.ScoreHitRate(waits, cows, avoided)
-	if pairs > 0 {
-		run.RankCorrelation = corrWeighted / float64(pairs)
-	}
+	run.HitRate, run.RankCorrelation, _ = obs.FoldScorecards(cards)
 }

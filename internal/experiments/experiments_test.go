@@ -176,8 +176,8 @@ func TestCM1ScorecardSelectorSignal(t *testing.T) {
 	}
 	ours := RunCM1(cfg, core.Adaptive, true)
 	np := RunCM1(cfg, core.NoPattern, true)
-	if ours.RankCorrelation <= np.RankCorrelation {
-		t.Errorf("adaptive rank correlation %.3f should exceed ascending %.3f",
+	if ours.RankCorrelation <= np.RankCorrelation || ours.RankCorrelation <= 0 {
+		t.Errorf("adaptive rank correlation %.3f should be positive and exceed ascending %.3f",
 			ours.RankCorrelation, np.RankCorrelation)
 	}
 	if ours.HitRate <= 0 || np.HitRate <= 0 {

@@ -1,8 +1,9 @@
-package main
+package experiments
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/ckpt"
@@ -10,48 +11,33 @@ import (
 	"repro/internal/core"
 	"repro/internal/multilevel"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
 )
 
-// tiersScenario compares 1-, 2- and 3-tier checkpoint hierarchies under
+// runTiers compares 1-, 2- and 3-tier checkpoint hierarchies under
 // failure: an application on node 0 of a simulated Grid'5000-like cluster
 // checkpoints a real-content region; after the run the fast local tier is
-// wiped and peerFailures peer nodes are killed, then a tier-aware restore
+// wiped and one or two peer nodes are killed, then a tier-aware restore
 // attempts to rebuild the memory image. With one failure the erasure-coded
 // peer tier (k=2, m=1) recovers every epoch; with two, only the 3-tier
 // configuration survives, serving epochs from the parallel file system.
-func tiersScenario(iterations, every, peerFailures int, jsonPath string) {
-	fmt.Printf("multi-level hierarchy under failure: L1 wipe + %d peer node(s) lost\n", peerFailures)
-	fmt.Printf("%-8s %-14s %-14s %-12s %s\n", "config", "app-runtime", "drain-done", "restore", "epoch sources")
-	var recs []BenchRecord
-	for tiers := 1; tiers <= 3; tiers++ {
-		r := runTiersConfig(tiers, iterations, every, peerFailures)
-		fmt.Printf("%-8s %-14v %-14v %-12s %s\n", fmt.Sprintf("%d-tier", tiers), r.appRuntime, r.drainDone, r.restore, r.sources)
-		sc, cp := benchObservability(r.epochs)
-		restored := 0.0
-		if r.restore == "bit-identical" {
-			restored = 1
+func runTiers(w io.Writer, _ int) error {
+	for _, peerFailures := range []int{1, 2} {
+		if peerFailures > 1 {
+			fmt.Fprintln(w)
 		}
-		recs = append(recs, BenchRecord{
-			Scenario: "tiers",
-			Case:     fmt.Sprintf("%d-tier", tiers),
-			Config: map[string]any{
-				"tiers": tiers, "iterations": iterations, "every": every,
-				"peer_failures": peerFailures, "page_size": tiersPageSize,
-				"restore": r.restore, "sources": r.sources,
-			},
-			Metrics: map[string]float64{
-				"app_runtime_ns": float64(r.appRuntime.Nanoseconds()),
-				"drain_done_ns":  float64(r.drainDone.Nanoseconds()),
-				"restored":       restored,
-			},
-			Scorecard:    sc,
-			CriticalPath: cp,
-		})
+		fmt.Fprintf(w, "multi-level hierarchy under failure: L1 wipe + %d peer node(s) lost\n", peerFailures)
+		fmt.Fprintf(w, "%-8s %-14s %-14s %-12s %s\n", "config", "app-runtime", "drain-done", "restore", "epoch sources")
+		for tiers := 1; tiers <= 3; tiers++ {
+			r := runTiersConfig(tiers, peerFailures)
+			fmt.Fprintf(w, "%-8s %-14v %-14v %-12s %s\n", fmt.Sprintf("%d-tier", tiers), r.appRuntime, r.drainDone, r.restore, r.sources)
+			if r.restore != "bit-identical" && r.restore != "FAILED" {
+				return fmt.Errorf("%d-tier, %d peer(s) lost: restore %s: %s", tiers, peerFailures, r.restore, r.sources)
+			}
+		}
 	}
-	writeBenchJSON(jsonPath, recs...)
+	return nil
 }
 
 type tiersResult struct {
@@ -59,24 +45,21 @@ type tiersResult struct {
 	drainDone  time.Duration
 	restore    string
 	sources    string
-	// epochs carries the flight recorder's view of the run: scorecards
-	// from the page manager, lifecycle span trees (commit, seal,
-	// per-tier drain-wait/promote, restore) from the hierarchy.
-	epochs []obs.EpochRecord
 }
 
-const tiersPageSize = 4096
+const (
+	tiersPageSize   = 4096
+	tiersIterations = 6
+	tiersEvery      = 2 // checkpoint every N iterations
+)
 
-func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
+func runTiersConfig(tiers, peerFailures int) tiersResult {
 	k := sim.NewKernel()
 	d := cluster.NewDeployment(k, 4, cluster.NodeSpec{
 		Procs: 1,
 		NIC:   netsim.LinkConfig{BytesPerSec: cluster.GigabitBandwidth, Latency: cluster.GigabitLatency},
 		Disk:  netsim.LinkConfig{BytesPerSec: cluster.RennesDiskBandwidth, PerMessage: 5 * time.Microsecond},
 	}, &cluster.PFSSpec{Servers: 4, ServerBandwidth: 100e6, PerRequest: 50 * time.Microsecond})
-
-	met := obs.New(k.Now)
-	met.Spans = obs.NewSpanLog(256)
 
 	local := multilevel.NewLocalTier(k, "local", &ckpt.MemFS{}, tiersPageSize, d.LocalBackend(0))
 	var lower []multilevel.Tier
@@ -92,7 +75,7 @@ func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
 	if tiers >= 3 {
 		lower = append(lower, multilevel.NewLocalTier(k, "pfs", &ckpt.MemFS{}, tiersPageSize, d.PFSBackend(0)))
 	}
-	h, err := multilevel.New(multilevel.Config{Env: k, PageSize: tiersPageSize, Local: local, Lower: lower, Metrics: met})
+	h, err := multilevel.New(multilevel.Config{Env: k, PageSize: tiersPageSize, Local: local, Lower: lower})
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +88,6 @@ func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
 		Strategy: core.Adaptive,
 		CowSlots: 64,
 		Name:     "app",
-		Metrics:  met,
 	})
 	const pages = 512 // 2 MB of real page content
 	region := space.Alloc(pages*tiersPageSize, false)
@@ -114,7 +96,7 @@ func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
 	k.Go("app", func() {
 		buf := make([]byte, tiersPageSize)
 		checkpointed := true
-		for iter := 0; iter < iterations; iter++ {
+		for iter := 0; iter < tiersIterations; iter++ {
 			// Touch a shrinking working set so later epochs are
 			// incremental: all pages, then 1/2, then 1/4, ...
 			span := pages >> uint(iter%3)
@@ -124,7 +106,7 @@ func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
 				}
 				region.Write(p*tiersPageSize, buf)
 			}
-			checkpointed = (iter+1)%every == 0
+			checkpointed = (iter+1)%tiersEvery == 0
 			if checkpointed {
 				mgr.Checkpoint()
 			}
@@ -191,6 +173,5 @@ func runTiersConfig(tiers, iterations, every, peerFailures int) tiersResult {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	res.epochs = obs.BuildEpochRecords(mgr.Scorecards(), met.Spans.Snapshot())
 	return res
 }

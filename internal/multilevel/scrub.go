@@ -60,7 +60,7 @@ func (h *Hierarchy) Scrub() (ScrubReport, error) {
 		h.obs.ScrubSegments.Add(uint64(len(health)))
 	}
 	for _, hs := range health {
-		if !hs.Damaged() {
+		if !hs.Damaged {
 			if hs.Status == ckpt.StatusTornTail {
 				rep.Entries = append(rep.Entries, ScrubEntry{
 					Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail,

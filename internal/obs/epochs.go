@@ -93,6 +93,25 @@ func ScoreRankCorrelation(footruleSum int64, pairs, flushed, arrivals int) float
 	return c
 }
 
+// FoldScorecards is the run-level fold of per-epoch scorecards: the hit
+// rate recomputed over the summed fault counts, and the rank correlation
+// weighted by each epoch's pairs (whose total is returned too).
+func FoldScorecards(cards []Scorecard) (hitRate, rankCorr float64, pairs int) {
+	var waits, cows, avoided int
+	var weighted float64
+	for _, c := range cards {
+		waits += c.Waits
+		cows += c.Cows
+		avoided += c.Avoided
+		weighted += c.RankCorrelation * float64(c.RankPairs)
+		pairs += c.RankPairs
+	}
+	if pairs > 0 {
+		rankCorr = weighted / float64(pairs)
+	}
+	return ScoreHitRate(waits, cows, avoided), rankCorr, pairs
+}
+
 // SpanNode is one node of a per-epoch span tree, JSON-friendly for the
 // /epochs endpoint: the root spans the whole epoch lifecycle, the
 // commit node owns the seal as its final child, and drain/promote/

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Stage names one step of the checkpoint pipeline in the trace journal,
 // covering the full epoch lifecycle: fault → COW → select → compress →
@@ -116,37 +112,19 @@ type Event struct {
 	Value int64         `json:"value"`
 }
 
-// journalSlot is one ring entry. Every word is accessed atomically so
-// record and Snapshot never race: seq is the seqlock (0 = empty or
-// being written; n+1 = event n complete), and readers validate seq
-// before and after reading the payload words.
-type journalSlot struct {
-	seq    atomic.Uint64
-	at     atomic.Int64
-	epoch  atomic.Uint64
-	value  atomic.Int64
-	packed atomic.Uint64 // page(32) | tier(8) | stage(8)
+// unpackEvent reads an event back from the ring words record laid out.
+func unpackEvent(r ringRecord) Event {
+	p := r.w[3]
+	return Event{
+		Seq: r.seq, At: time.Duration(r.w[0]), Epoch: r.w[1], Value: int64(r.w[2]),
+		Stage: Stage(p & 0xff), Page: int32(uint32(p >> 32)), Tier: int8(uint8(p >> 8)),
+	}
 }
 
-func packEvent(stage Stage, page int32, tier int8) uint64 {
-	return uint64(uint32(page))<<32 | uint64(uint8(tier))<<8 | uint64(stage)
-}
-
-func unpackEvent(p uint64) (stage Stage, page int32, tier int8) {
-	return Stage(p & 0xff), int32(uint32(p >> 32)), int8(uint8(p >> 8))
-}
-
-// Journal is a bounded, lock-free ring buffer of pipeline events. Writers
-// claim a slot with one atomic fetch-add and publish it seqlock-style;
-// when the ring wraps, the oldest events are overwritten — the journal
-// is a flight recorder, not a log. Snapshot never blocks writers and
-// writers never block each other, so tracing is safe on every hot path
-// and a scrape can never stall a Checkpoint.
-type Journal struct {
-	mask  uint64
-	next  atomic.Uint64
-	slots []journalSlot
-}
+// Journal is the bounded, lock-free ring of pipeline events (see ring):
+// tracing is safe on every hot path and a scrape can never stall a
+// Checkpoint.
+type Journal struct{ ring }
 
 // DefaultJournalDepth is the default ring capacity.
 const DefaultJournalDepth = 4096
@@ -154,68 +132,26 @@ const DefaultJournalDepth = 4096
 // NewJournal returns a journal holding the most recent `depth` events
 // (rounded up to a power of two, minimum 16).
 func NewJournal(depth int) *Journal {
-	n := 16
-	for n < depth {
-		n <<= 1
-	}
-	return &Journal{mask: uint64(n - 1), slots: make([]journalSlot, n)}
+	j := &Journal{}
+	j.init(depth)
+	return j
 }
 
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int { return len(j.slots) }
-
-// record appends one event. Allocation-free: one fetch-add plus five
-// atomic stores.
+// record appends one event, allocation-free, as the ring words at, epoch,
+// value, page(32) | tier(8) | stage(8).
 //
 //aickpt:hotpath
 func (j *Journal) record(at time.Duration, stage Stage, epoch uint64, page int32, tier int8, value int64) {
-	seq := j.next.Add(1) - 1
-	s := &j.slots[seq&j.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
-	s.at.Store(int64(at))
-	s.epoch.Store(epoch)
-	s.value.Store(value)
-	s.packed.Store(packEvent(stage, page, tier))
-	s.seq.Store(seq + 1) // publish
+	j.put(uint64(at), epoch, uint64(value), uint64(uint32(page))<<32|uint64(uint8(tier))<<8|uint64(stage))
 }
 
-// Len returns the number of events currently retained (at most Cap).
-func (j *Journal) Len() int {
-	n := j.next.Load()
-	if n > uint64(len(j.slots)) {
-		return len(j.slots)
-	}
-	return int(n)
-}
-
-// Snapshot returns the retained events ordered by sequence number. It
-// takes no locks: slots caught mid-write (or overwritten while being
-// read) are skipped, so a snapshot under heavy tracing is a consistent
-// sample rather than a stall.
+// Snapshot returns the retained events ordered by sequence number,
+// without blocking writers.
 func (j *Journal) Snapshot() []Event {
-	out := make([]Event, 0, len(j.slots))
-	for i := range j.slots {
-		s := &j.slots[i]
-		for attempt := 0; attempt < 2; attempt++ {
-			seq1 := s.seq.Load()
-			if seq1 == 0 {
-				break
-			}
-			at := s.at.Load()
-			epoch := s.epoch.Load()
-			value := s.value.Load()
-			packed := s.packed.Load()
-			if s.seq.Load() != seq1 {
-				continue // overwritten mid-read; retry once
-			}
-			stage, page, tier := unpackEvent(packed)
-			out = append(out, Event{
-				Seq: seq1 - 1, At: time.Duration(at), Stage: stage,
-				Epoch: epoch, Page: page, Tier: tier, Value: value,
-			})
-			break
-		}
+	recs := j.snapshot()
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = unpackEvent(r)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }

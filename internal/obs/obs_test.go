@@ -251,3 +251,38 @@ func TestTierAndWorkerIndex(t *testing.T) {
 		t.Fatal("WorkerIndex must fold ids into [0,MaxWorkers)")
 	}
 }
+
+// TestRingLappedWriterDrops: a writer still inside a slot when the ring
+// laps it keeps the slot. The lapping record is dropped rather than
+// interleaved with the older one, and a reader sees neither until the
+// owner publishes.
+func TestRingLappedWriterDrops(t *testing.T) {
+	var r ring
+	r.init(16)
+	// A writer took sequence number 0, claimed slot 0 and stalled.
+	r.next.Store(1)
+	r.slots[0].state.Store(1)
+	r.slots[0].w[0].Store(111)
+	for seq := uint64(1); seq <= 16; seq++ { // 16 laps onto slot 0
+		r.put(seq, seq, seq, seq)
+	}
+	recs := r.snapshot()
+	if len(recs) != 15 || recs[0].seq != 1 || recs[14].seq != 15 {
+		t.Fatalf("while slot 0 is owned: %d records %+v, want sequence numbers 1..15", len(recs), recs)
+	}
+	for i := 1; i < ringWords; i++ {
+		r.slots[0].w[i].Store(111)
+	}
+	r.slots[0].state.Store(2)
+	recs = r.snapshot()
+	if len(recs) != 16 || recs[0].seq != 0 || recs[0].w != [ringWords]uint64{111, 111, 111, 111} {
+		t.Fatalf("after the owner published: %+v, want record 0 intact", recs)
+	}
+	// A writer lapped before it claimed finds a newer record and drops too.
+	r.next.Store(1)
+	r.slots[1].state.Store(2*17 + 2) // slot 1 now holds record 17
+	r.put(8, 8, 8, 8)                // sequence number 1
+	if last := r.snapshot()[15]; last.seq != 17 || last.w[0] == 8 {
+		t.Fatalf("a stale writer overwrote a newer record: %+v", last)
+	}
+}

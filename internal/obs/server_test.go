@@ -58,14 +58,27 @@ func TestHandlerEpochs(t *testing.T) {
 
 	provider := func() []EpochRecord {
 		return BuildEpochRecords(
-			[]Scorecard{{Epoch: 3, Waits: 1, Avoided: 3, HitRate: 0.75}},
-			[]Span{{Kind: SpanCommit, Epoch: 3, Start: 0, End: time.Second}},
+			[]Scorecard{{Epoch: 3, Waits: 1, Avoided: 3, HitRate: 0.75, FaultHeat: []uint32{4}}},
+			[]Span{
+				{Kind: SpanCommit, Epoch: 3, Start: 0, End: time.Second},
+				{Kind: SpanSeal, Epoch: 3, Start: 900 * time.Millisecond, End: time.Second},
+			},
 		)
 	}
 	rec = httptest.NewRecorder()
 	Handler(m, provider, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/epochs", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
+	}
+	// The wire names a scraper reads: a scorecard and a span tree with its
+	// critical path per epoch.
+	for _, field := range []string{
+		`"scorecard"`, `"hit_rate"`, `"rank_correlation"`, `"fault_heat"`,
+		`"kind": "epoch"`, `"kind": "commit"`, `"kind": "seal"`, `"critical_path"`, `"bounding"`,
+	} {
+		if !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("/epochs body lacks %s:\n%s", field, rec.Body)
+		}
 	}
 	var records []EpochRecord
 	if err := json.Unmarshal(rec.Body.Bytes(), &records); err != nil {

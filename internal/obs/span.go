@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // SpanKind names one stage of an epoch's lifecycle in the span log. A
 // span is an interval [Start, End) on the Metrics' time source, where
@@ -71,35 +67,19 @@ type Span struct {
 // Dur returns the span length.
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
-// spanSlot is one ring entry, seqlock-published exactly like
-// journalSlot: seq 0 means empty or mid-write, n+1 means span n is
-// complete, and readers validate seq around the payload loads.
-type spanSlot struct {
-	seq    atomic.Uint64
-	start  atomic.Int64
-	end    atomic.Int64
-	epoch  atomic.Uint64
-	packed atomic.Uint64 // tier(8) | kind(8)
+// unpackSpan reads a span back from the ring words record laid out.
+func unpackSpan(r ringRecord) Span {
+	p := r.w[3]
+	return Span{
+		Seq: r.seq, Start: time.Duration(r.w[0]), End: time.Duration(r.w[1]), Epoch: r.w[2],
+		Kind: SpanKind(p & 0xff), Tier: int8(uint8(p >> 8)),
+	}
 }
 
-func packSpan(kind SpanKind, tier int8) uint64 {
-	return uint64(uint8(tier))<<8 | uint64(kind)
-}
-
-func unpackSpan(p uint64) (kind SpanKind, tier int8) {
-	return SpanKind(p & 0xff), int8(uint8(p >> 8))
-}
-
-// SpanLog is a bounded, lock-free ring of lifecycle spans, the interval
-// counterpart of the trace Journal: writers claim a slot with one
-// fetch-add and publish seqlock-style, Snapshot never blocks writers,
-// and when the ring wraps the oldest epochs fall off — it is a flight
-// recorder, not a log.
-type SpanLog struct {
-	mask  uint64
-	next  atomic.Uint64
-	slots []spanSlot
-}
+// SpanLog is the bounded, lock-free ring of lifecycle spans, the interval
+// counterpart of the trace Journal on the same ring: when it wraps, the
+// oldest epochs fall off.
+type SpanLog struct{ ring }
 
 // DefaultSpanDepth is the default span-ring capacity. Spans are recorded
 // per epoch and per tier (not per page), so a modest ring covers
@@ -109,57 +89,25 @@ const DefaultSpanDepth = 1024
 // NewSpanLog returns a span log holding the most recent `depth` spans
 // (rounded up to a power of two, minimum 16).
 func NewSpanLog(depth int) *SpanLog {
-	n := 16
-	for n < depth {
-		n <<= 1
-	}
-	return &SpanLog{mask: uint64(n - 1), slots: make([]spanSlot, n)}
+	l := &SpanLog{}
+	l.init(depth)
+	return l
 }
 
-// Cap returns the ring capacity.
-func (l *SpanLog) Cap() int { return len(l.slots) }
-
-// record appends one span. Allocation-free: one fetch-add plus five
-// atomic stores.
+// record appends one span, allocation-free, as the ring words start, end,
+// epoch, tier(8) | kind(8).
 func (l *SpanLog) record(kind SpanKind, epoch uint64, tier int8, start, end time.Duration) {
-	seq := l.next.Add(1) - 1
-	s := &l.slots[seq&l.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
-	s.start.Store(int64(start))
-	s.end.Store(int64(end))
-	s.epoch.Store(epoch)
-	s.packed.Store(packSpan(kind, tier))
-	s.seq.Store(seq + 1) // publish
+	l.put(uint64(start), uint64(end), epoch, uint64(uint8(tier))<<8|uint64(kind))
 }
 
 // Snapshot returns the retained spans ordered by sequence number,
-// skipping slots caught mid-write, with the same non-blocking guarantees
-// as Journal.Snapshot.
+// without blocking writers.
 func (l *SpanLog) Snapshot() []Span {
-	out := make([]Span, 0, len(l.slots))
-	for i := range l.slots {
-		s := &l.slots[i]
-		for attempt := 0; attempt < 2; attempt++ {
-			seq1 := s.seq.Load()
-			if seq1 == 0 {
-				break
-			}
-			start := s.start.Load()
-			end := s.end.Load()
-			epoch := s.epoch.Load()
-			packed := s.packed.Load()
-			if s.seq.Load() != seq1 {
-				continue // overwritten mid-read; retry once
-			}
-			kind, tier := unpackSpan(packed)
-			out = append(out, Span{
-				Seq: seq1 - 1, Kind: kind, Epoch: epoch, Tier: tier,
-				Start: time.Duration(start), End: time.Duration(end),
-			})
-			break
-		}
+	recs := l.snapshot()
+	out := make([]Span, len(recs))
+	for i, r := range recs {
+		out[i] = unpackSpan(r)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 

@@ -43,7 +43,7 @@ func Restore(dir string) (*Image, error) { return RestoreWorkers(dir, 0) }
 // RestoreWorkers is Restore with an explicit segment-reader count; 0 picks
 // min(GOMAXPROCS, 8).
 func RestoreWorkers(dir string, workers int) (*Image, error) {
-	fs, err := ckpt.NewOSFS(dir)
+	fs, err := ckpt.OpenOSFS(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (rt *Runtime) LoadImage(im *Image, r *Region) error {
 // Inspect verifies all sealed epochs in a repository directory and returns
 // a health report per epoch; it backs the ckpt-inspect tool.
 func Inspect(dir string) ([]EpochReport, error) {
-	fs, err := ckpt.NewOSFS(dir)
+	fs, err := ckpt.OpenOSFS(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ type ChainSummary struct {
 // InspectChain summarizes the chain structure of a repository directory;
 // it backs the ckpt-inspect tool's chain view.
 func InspectChain(dir string) (ChainSummary, error) {
-	fs, err := ckpt.NewOSFS(dir)
+	fs, err := ckpt.OpenOSFS(dir)
 	if err != nil {
 		return ChainSummary{}, err
 	}

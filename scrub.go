@@ -26,24 +26,12 @@ const (
 	HealthSegmentCorrupt = ckpt.StatusSegmentCorrupt
 )
 
-// SegmentHealth is one Verify finding: the health of one chain entry.
-type SegmentHealth struct {
-	// Manifest / Segment are the entry's file names (Segment is empty for
-	// epochs with no physical records or unreadable manifests).
-	Manifest string `json:"manifest"`
-	Segment  string `json:"segment,omitempty"`
-	// Epoch is the entry's epoch (a base's covering range ends here).
-	Epoch uint64 `json:"epoch"`
-	// IsBase marks a consolidated base entry.
-	IsBase bool `json:"is_base,omitempty"`
-	// Status is one of the Health* constants.
-	Status string `json:"status"`
-	// Detail carries the verification error for non-ok statuses.
-	Detail string `json:"detail,omitempty"`
-	// Damaged reports whether the entry needs repair (torn tails do not:
-	// they were never sealed).
-	Damaged bool `json:"damaged,omitempty"`
-}
+// SegmentHealth is one Verify finding, the health of one chain entry: its
+// Manifest and Segment file names, Epoch (a base's covering range ends
+// there), IsBase, a Status that is one of the Health* constants with the
+// verification error in Detail, the entry's PageCount, and Damaged —
+// whether it needs repair (torn tails do not: they were never sealed).
+type SegmentHealth = ckpt.SegmentHealth
 
 // ScrubEntry is one scrub finding and what the pass did about it: the
 // health status that triggered it (or "drain-failed" for requeued tier
@@ -56,17 +44,6 @@ type ScrubEntry = multilevel.ScrubEntry
 // redundant tiers every damaged entry is Unrepaired — and tier copies
 // re-enqueued after exhausting their drain retry budget.
 type ScrubReport = multilevel.ScrubReport
-
-func healthToPublic(hs []ckpt.SegmentHealth) []SegmentHealth {
-	out := make([]SegmentHealth, len(hs))
-	for i, h := range hs {
-		out[i] = SegmentHealth{
-			Manifest: h.Manifest, Segment: h.Segment, Epoch: h.Epoch, IsBase: h.IsBase,
-			Status: h.Status, Detail: h.Detail, Damaged: h.Damaged(),
-		}
-	}
-	return out
-}
 
 // Scrub verifies every chain entry on the hierarchy's local tier and
 // self-heals what it can: damaged epochs are quarantined and rebuilt from
@@ -97,7 +74,7 @@ func (rt *Runtime) Scrub() (ScrubReport, error) {
 		}
 		for _, hs := range health {
 			e := ScrubEntry{Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail}
-			if hs.Damaged() {
+			if hs.Damaged {
 				rep.Corrupt++
 				rep.Unrepaired++
 				e.Action = "unrepaired: no redundant tier to rebuild from"
@@ -122,13 +99,9 @@ func (rt *Runtime) Scrub() (ScrubReport, error) {
 // Corrupt manifests are classified as torn tails (crash artifacts, not
 // damage) or interior corruption exactly as restore would classify them.
 func Verify(dir string) ([]SegmentHealth, error) {
-	fs, err := ckpt.NewOSFS(dir)
+	fs, err := ckpt.OpenOSFS(dir)
 	if err != nil {
 		return nil, err
 	}
-	health, err := ckpt.VerifyChain(fs)
-	if err != nil {
-		return nil, err
-	}
-	return healthToPublic(health), nil
+	return ckpt.VerifyChain(fs)
 }

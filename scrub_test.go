@@ -2,6 +2,8 @@ package aickpt
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -212,5 +214,107 @@ func TestScrubEndpoint(t *testing.T) {
 	}
 	if err := rt2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersLeaveALiveFlushAlone: Verify, Restore and the Inspect views
+// may run against the directory of a live runtime. Its staging file — the
+// segment of the epoch being flushed — must survive them, so the epoch
+// still publishes, Err stays nil and the chain restores.
+func TestReadersLeaveALiveFlushAlone(t *testing.T) {
+	const pages, pageSize = 4096, 4096
+	dir := t.TempDir()
+	rt, err := New(Options{PageSize: pageSize, Dir: dir, Compression: CompressionFlate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rt.MallocProtected(pages * pageSize)
+	// look reports whether dir holds a staging file, and whether epoch's
+	// manifest is published (its flush is over).
+	look := func(epoch int) (staged, sealed bool) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			staged = staged || strings.HasPrefix(e.Name(), ".tmp-")
+			sealed = sealed || e.Name() == fmt.Sprintf("epoch-%08d.json", epoch)
+		}
+		return staged, sealed
+	}
+	caught := false
+	for epoch := 1; epoch <= 6 && !caught; epoch++ {
+		buf := make([]byte, pageSize)
+		for p := 0; p < pages; p++ {
+			for i := range buf {
+				buf[i] = byte(p*31 + epoch*7 + i*i)
+			}
+			r.Write(p*pageSize, buf)
+		}
+		rt.Checkpoint()
+		// Epoch 1 only gives the readers a sealed chain to read.
+		for epoch > 1 {
+			staged, sealed := look(epoch)
+			if sealed {
+				break
+			}
+			if !staged {
+				continue
+			}
+			caught = true // the first reader opens the directory inside the flush
+			if _, err := Verify(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Inspect(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := InspectChain(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(dir); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		rt.WaitIdle()
+		if err := rt.Err(); err != nil {
+			t.Fatalf("epoch %d: a reader broke the flush: %v", epoch, err)
+		}
+	}
+	if !caught {
+		t.Fatal("never saw a staging file while a flush was in flight")
+	}
+	want := append([]byte(nil), r.Bytes()...)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	im, err := Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < pages; p++ {
+		if !bytes.Equal(im.Page(p), want[p*pageSize:(p+1)*pageSize]) {
+			t.Fatalf("page %d differs after restore", p)
+		}
+	}
+}
+
+// TestReadersRejectAMissingDirectory: a typo'd path is an error, and no
+// read-only entry point leaves a directory behind.
+func TestReadersRejectAMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "no-such")
+	for name, open := range map[string]func() error{
+		"Verify":       func() error { _, err := Verify(dir); return err },
+		"Restore":      func() error { _, err := Restore(dir); return err },
+		"Inspect":      func() error { _, err := Inspect(dir); return err },
+		"InspectChain": func() error { _, err := InspectChain(dir); return err },
+		"InspectTiers": func() error { _, err := InspectTiers(dir); return err },
+	} {
+		if err := open(); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s(missing dir) = %v, want a not-exist error", name, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s created the directory it was asked to read", name)
+		}
 	}
 }

@@ -80,7 +80,7 @@ type Summary struct {
 // runtime metric snapshot.
 func Summarize(stats []EpochStats) Summary {
 	var s Summary
-	var corrWeighted float64
+	cards := make([]Scorecard, 0, len(stats))
 	for _, ep := range stats {
 		s.Checkpoints++
 		s.PagesCommitted += ep.PagesCommitted
@@ -93,16 +93,10 @@ func Summarize(stats []EpochStats) Summary {
 		if ep.Duration > s.LongestCkpt {
 			s.LongestCkpt = ep.Duration
 		}
-		if ep.RankPairs > 0 {
-			corrWeighted += ep.RankCorrelation() * float64(ep.RankPairs)
-			s.RankPairs += ep.RankPairs
-		}
+		cards = append(cards, ep.Scorecard())
 	}
 	s.CowAbsorbed = s.Cows
-	s.HitRate = obs.ScoreHitRate(s.Waits, s.Cows, s.Avoided)
-	if s.RankPairs > 0 {
-		s.RankCorrelation = corrWeighted / float64(s.RankPairs)
-	}
+	s.HitRate, s.RankCorrelation, s.RankPairs = obs.FoldScorecards(cards)
 	return s
 }
 
