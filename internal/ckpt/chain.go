@@ -7,6 +7,7 @@ import (
 	iofs "io/fs"
 	"strings"
 
+	"repro/internal/compress"
 	"repro/internal/util"
 )
 
@@ -349,7 +350,6 @@ func ReadBasePages(fs FS, m Manifest) (PageSet, error) {
 // WriteBase does not garbage-collect what the base supersedes; see
 // GCSuperseded.
 func WriteBase(fs FS, from, to uint64, pageSize int, pages *PageSet, codec uint8) (Manifest, error) {
-	w := &segmentWriter{pageSize: pageSize, codec: codec}
 	man := Manifest{
 		Epoch:    to,
 		PageSize: pageSize,
@@ -357,25 +357,8 @@ func WriteBase(fs FS, from, to uint64, pageSize int, pages *PageSet, codec uint8
 		Codec:    codec,
 		Base:     &BaseRange{From: from, To: to},
 	}
-	f, err := fs.Create(baseSegmentName(from, to))
-	if err != nil {
-		return Manifest{}, fmt.Errorf("ckpt: create base segment: %w", err)
-	}
-	if err := w.begin(f); err != nil {
-		Discard(f)
-		return Manifest{}, err
-	}
-	for id, data := range pages.All() {
-		if err := w.writeRecord(&man, id, data, contentHash(data)); err != nil {
-			Discard(f)
-			return Manifest{}, fmt.Errorf("ckpt: base page %d: %w", id, err)
-		}
-	}
-	if err := w.finish(); err != nil {
-		return Manifest{}, fmt.Errorf("ckpt: base segment: %w", err)
-	}
-	if err := writeManifestFile(fs, baseManifestName(from, to), &man); err != nil {
-		return Manifest{}, err
+	if err := writeSegment(fs, &man, pages, compress.Codec(codec)); err != nil {
+		return Manifest{}, fmt.Errorf("ckpt: base %d-%d: %w", from, to, err)
 	}
 	return man, nil
 }

@@ -11,10 +11,10 @@ import (
 	"repro/internal/compress"
 )
 
-// The staged write path: many goroutines write pages of one epoch
-// concurrently, the single segment-writer goroutine appends them, and the
-// sealed epoch reads back intact — physical records, dedup refs and
-// manifest bookkeeping all consistent. Run with -race.
+// The concurrent write path: many goroutines write pages of one epoch at
+// once, each record goes through the one locked append, and the sealed
+// epoch reads back intact — physical records, dedup refs and manifest
+// bookkeeping all consistent. Run with -race.
 func TestRepositoryConcurrentWritePage(t *testing.T) {
 	for _, codec := range []compress.Codec{compress.None, compress.Flate} {
 		codec := codec
@@ -119,10 +119,9 @@ func TestRepositoryConcurrentWritePage(t *testing.T) {
 	}
 }
 
-// A failing FS surfaces the staged writer's error at the seal, and the
-// epoch stays unsealed (invisible to restore) — the crash-consistency
-// contract under the concurrent write path.
-func TestRepositoryStagedWriteErrorFailsSeal(t *testing.T) {
+// A segment that cannot be created surfaces at WritePage, and the epoch
+// stays unsealed (invisible to restore) — the crash-consistency contract.
+func TestRepositorySegmentCreateErrorLeavesEpochUnsealed(t *testing.T) {
 	const pageSize = 64
 	fs := &MemFS{}
 	repo := NewRepository(fs, pageSize)
@@ -148,11 +147,12 @@ func TestRepositoryStagedWriteErrorFailsSeal(t *testing.T) {
 	}
 }
 
-// A staged record that never reaches the segment discards the whole epoch
-// at the seal — and the epoch's dedup/storage counters go with it, so
-// DedupStats only ever describes bytes a restore can read.
+// A record that never reaches the segment file — the buffer's flush fails,
+// at the latest at the seal — discards the whole epoch, and the epoch's
+// dedup/storage counters go with it, so DedupStats only ever describes
+// bytes a restore can read.
 func TestRepositoryFailedEpochDropsStats(t *testing.T) {
-	const pageSize = 8192 // larger than the bufio buffer: writes hit the FS
+	const pageSize = 8192
 	fs := &brokenSegmentFS{FS: &MemFS{}}
 	repo := NewRepository(fs, pageSize)
 	data := bytes.Repeat([]byte{9}, pageSize)

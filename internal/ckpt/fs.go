@@ -16,6 +16,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -127,7 +128,9 @@ func (m *MemFS) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open implements FS. A missing file wraps fs.ErrNotExist, matching OSFS,
-// so callers can distinguish "vanished" from real I/O failures.
+// so callers can distinguish "vanished" from real I/O failures. The reader
+// shares the published slice: nothing mutates one in place (Close publishes
+// a finished buffer, Truncate reslices, a rewrite publishes a new slice).
 func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -135,7 +138,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("ckpt: file %q does not exist: %w", name, iofs.ErrNotExist)
 	}
-	return io.NopCloser(strings.NewReader(string(data))), nil
+	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
 // List implements FS.

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/compress"
 	"repro/internal/obs"
-	"repro/internal/util"
 )
 
 // Record format inside epoch-%08d.pages (and base-%08d-%08d.pages):
@@ -79,250 +77,163 @@ func (m *Manifest) DedupRatio() float64 {
 	return float64(len(m.Refs)) / float64(total)
 }
 
-// segmentWriter streams self-checking records into a segment file and
-// accumulates the manifest bookkeeping. It is shared by the repository's
-// streaming epoch path and the compactor's base writer.
+// segmentBufSize is the size of a segment writer's one buffer, and so of
+// every write(2) a segment receives. 32 KiB turns eight 4 KiB records into
+// one system call, which is nearly all there is to gain: a bare
+// write/fsync/rename loop on the benchmark host's ext4 seals a 64 MiB file
+// in 98 ms from 4 KiB chunks, 49 ms from 32 KiB, 44 ms from 256 KiB. It is
+// a constant because larger is measurably worse where it counts. Inside the
+// tiers-failover process, runs alternating in the same half hour, the 64 MiB
+// base spent 16-21 ms in write(2) in 8 of 8 runs with 32 KiB chunks (34-50
+// with 4 KiB) but 145-250 ms in 6 of 8 with 256 KiB (13-16 in the other
+// two; 64 KiB: 4 slow runs of 12), and the bare loop with 1 MiB chunks took
+// 440-480 ms twice in 12. The cause was not pinned down — 32 KiB is the
+// largest write the page cache serves with order-3 folios, the largest
+// order the allocator caches per CPU — so the measurement is the reason.
+const segmentBufSize = 32 << 10
+
+// segmentWriter appends self-checking records to one segment file at a
+// time through one buffer it keeps across segments. The repository owns one
+// for its lifetime (an epoch's committers share it); writeSegment uses one
+// per call. f changes only while no append can be in flight — the
+// repository's epoch barrier — so only the buffer needs the lock.
 type segmentWriter struct {
-	pageSize int
-	codec    uint8
-	f        io.WriteCloser
-	buf      *bufio.Writer
-	hdr      [20]byte // record-header scratch: a stack header escapes into
-	// the underlying writer interface on bufio pass-through, costing one
-	// heap allocation per record
+	f io.WriteCloser // open segment, nil between segments
+
+	mu  sync.Mutex
+	buf *bufio.Writer //aickpt:guardedby mu
+	// hdr is record-header scratch: a stack header would escape into the
+	// file's Write on a bufio pass-through, one heap allocation per record.
+	hdr [20]byte //aickpt:guardedby mu
 }
 
-func (w *segmentWriter) begin(f io.WriteCloser) error {
+// reset points the writer at a new segment file, dropping whatever an
+// abandoned segment left in the buffer along with its sticky error.
+func (w *segmentWriter) reset(f io.WriteCloser) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.f = f
-	w.buf = bufio.NewWriter(f)
-	return nil
-}
-
-// writeRecord encodes one page record (applying the codec) and updates the
-// manifest. rawHash is the FNV-64a hash of data before encoding.
-func (w *segmentWriter) writeRecord(man *Manifest, page int, data []byte, rawHash uint64) error {
-	if compress.Codec(w.codec) != compress.None {
-		data = compress.Encode(compress.Codec(w.codec), data)
+	if w.buf == nil {
+		w.buf = bufio.NewWriterSize(f, segmentBufSize)
+	} else {
+		w.buf.Reset(f)
 	}
-	return w.writeEncoded(man, page, data, rawHash)
 }
 
-// writeEncoded appends one record whose payload is already codec-encoded
-// (or verbatim for codec None) and updates the manifest bookkeeping.
-func (w *segmentWriter) writeEncoded(man *Manifest, page int, payload []byte, rawHash uint64) error {
+// append adds one record and its manifest entry in one critical section, so
+// file order is manifest order for any number of concurrent callers. The
+// one rule of this lock: nothing runs under it but the header store and the
+// copy into the buffer (and the buffer's own flush when it fills). payload
+// is already codec-encoded, recHash its FNV-64a and rawHash that of the
+// page before encoding — the callers hash, and for codec None hash once.
+// payload is not retained.
+func (w *segmentWriter) append(man *Manifest, page int, payload []byte, recHash, rawHash uint64) error {
+	w.mu.Lock()
 	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], recordMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(page))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[12:], util.Fnv64a(payload))
-	if _, err := w.buf.Write(hdr[:]); err != nil {
-		return fmt.Errorf("write header: %w", err)
+	binary.LittleEndian.PutUint64(hdr[12:], recHash)
+	_, err := w.buf.Write(hdr)
+	if err == nil {
+		_, err = w.buf.Write(payload)
 	}
-	if _, err := w.buf.Write(payload); err != nil {
-		return fmt.Errorf("write payload: %w", err)
+	if err == nil {
+		man.PageCount++
+		man.TotalBytes += int64(len(hdr)) + int64(len(payload))
+		man.Pages = append(man.Pages, page)
+		man.Hashes = append(man.Hashes, rawHash)
 	}
-	man.PageCount++
-	man.TotalBytes += int64(len(hdr)) + int64(len(payload))
-	man.Pages = append(man.Pages, page)
-	man.Hashes = append(man.Hashes, rawHash)
+	w.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("write record: %w", err)
+	}
 	return nil
 }
 
-// payloadPool recycles encode-output and staging-copy buffers across pages
-// and epochs: every page flushed used to allocate a fresh buffer that died
-// milliseconds later. Buffers are returned once their record reaches the
-// segment writer (or the epoch fails).
-var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// recordJob is one encoded page record staged for the segment writer.
-type recordJob struct {
-	page    int
-	payload []byte // codec-encoded, owned by the job
-	rawHash uint64
-	buf     *[]byte // pooled backing buffer to release after the write, or nil
-}
-
-// release returns the job's pooled buffer, if any, once the payload is no
-// longer referenced.
-//
-//aickpt:release payloadPool
-func (j *recordJob) release() {
-	if j.buf != nil {
-		*j.buf = j.payload[:0]
-		payloadPool.Put(j.buf)
-		j.buf = nil
-	}
-}
-
-// epochStage is the staging buffer between concurrent page committers and
-// the epoch's single segment-writer goroutine: WritePage hands encoded
-// records to the stage (cheap, under the stage's own lock) and the writer
-// drains them in batches, appending to the segment and folding the
-// per-record bookkeeping into the manifest in arrival order. This keeps the
-// on-disk format and the manifest's Pages/Hashes pairing exactly as in the
-// serial path while letting the expensive steps — content hashing, codec
-// encoding, the page copy — run concurrently outside every repository lock.
-//
-// When no records are staged ahead and the writer is idle, submit appends
-// synchronously instead (zero-copy: the caller's buffer is still valid),
-// so a single committer worker pays neither the page copy nor the
-// goroutine handoff — the hot path is the old serial one.
-type epochStage struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []recordJob
-	closed bool
-	err    error //aickpt:guardedby mu (first segment-write error)
-
-	writeMu sync.Mutex // serializes segment appends (writer batches and sync path)
-	w       *segmentWriter
-	man     *Manifest
-	obs     *obs.Metrics // nil: observability disabled
-
-	spare []recordJob // drained batch array recycled into the next queue
-
-	done chan struct{} // closed when the writer has drained and exited
-}
-
-// newEpochStage starts the segment-writer goroutine for one open epoch.
-// w and man are owned by the stage until close returns.
-func newEpochStage(w *segmentWriter, man *Manifest, m *obs.Metrics) *epochStage {
-	s := &epochStage{w: w, man: man, obs: m, done: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	go s.run()
-	return s
-}
-
-// submit appends one encoded record: synchronously when the segment writer
-// is idle and nothing is staged ahead (no copy, error surfaced directly),
-// otherwise by staging it for the writer goroutine. borrowed marks a
-// payload that aliases caller memory and must be copied if staged.
-func (s *epochStage) submit(j recordJob, borrowed bool) error {
-	s.mu.Lock()
-	if len(s.queue) == 0 && s.err == nil && s.writeMu.TryLock() {
-		s.mu.Unlock()
-		err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash)
-		s.writeMu.Unlock()
-		j.release()
+// seal is the commit protocol, in its one place: flush and publish the
+// segment if one is open (under the FS contract the Close is the publish),
+// then publish the manifest — the commit point. A flush failure discards
+// the file unpublished: a half-flushed segment must never become visible.
+// Whatever the outcome, no segment is open afterwards. m may be nil.
+func (w *segmentWriter) seal(fs FS, man *Manifest, m *obs.Metrics) error {
+	if f := w.f; f != nil {
+		w.f = nil
+		w.mu.Lock()
+		err := w.buf.Flush()
+		w.mu.Unlock()
 		if err != nil {
-			s.fail(err)
+			Discard(f)
+			return fmt.Errorf("flush segment: %w", err)
 		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("publish segment: %w", err)
+		}
+	}
+	mstart := m.Now()
+	if err := writeManifestFile(fs, manifestFile(*man), man); err != nil {
 		return err
 	}
-	if borrowed {
-		// Copy the caller-owned payload into a pooled buffer; the writer
-		// goroutine releases it after the record lands in the segment.
-		buf := payloadPool.Get().(*[]byte) //aickpt:owns released by recordJob.release after the drain
-		j.payload = append((*buf)[:0], j.payload...)
-		j.buf = buf
+	if m != nil {
+		m.ManifestWriteNs.Observe(int64(m.Now() - mstart))
 	}
-	if s.queue == nil && s.spare != nil {
-		s.queue, s.spare = s.spare, nil
-	}
-	s.queue = append(s.queue, j)
-	if s.obs != nil {
-		s.obs.StagingDepth.Set(int64(len(s.queue)))
-	}
-	s.cond.Signal()
-	s.mu.Unlock()
 	return nil
 }
 
-// fail records the stage's first error.
-func (s *epochStage) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-func (s *epochStage) run() {
-	defer close(s.done)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		batch := s.queue
-		s.queue = nil
-		closed := s.closed
-		failed := s.err != nil
-		if s.obs != nil {
-			s.obs.StagingDepth.Set(0)
-		}
-		s.mu.Unlock()
-		if len(batch) == 0 && closed {
-			return
-		}
-		s.writeMu.Lock()
-		for i := range batch {
-			j := &batch[i]
-			if !failed { // keep draining past an error; it decides the epoch
-				if err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash); err != nil {
-					s.fail(err)
-					failed = true
-				}
-			}
-			j.release()
-		}
-		s.writeMu.Unlock()
-		if len(batch) > 0 {
-			// Recycle the drained batch array into the next queue (stale
-			// payload pointers cleared so the pool owns them exclusively).
-			clear(batch)
-			s.mu.Lock()
-			if s.spare == nil || cap(batch) > cap(s.spare) {
-				s.spare = batch[:0]
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// close waits for every staged record to reach the segment writer, stops
-// the writer goroutine and returns the first write error.
-func (s *epochStage) close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Signal()
-	s.mu.Unlock()
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// finish flushes and closes the segment file; under the FS contract the
-// Close is what publishes the segment. A flush failure discards the file
-// unpublished — a half-flushed segment must never become visible.
-func (w *segmentWriter) finish() error {
-	if err := w.buf.Flush(); err != nil {
-		Discard(w.f)
-		return fmt.Errorf("flush: %w", err)
-	}
-	return w.f.Close()
-}
-
+// abort abandons the open segment, if any, unpublished.
 func (w *segmentWriter) abort() {
-	if w.f != nil {
-		Discard(w.f)
-	}
+	Discard(w.f)
+	w.f = nil
 }
+
+// writeSegment seals a whole page set at once — a compacted base or a
+// repaired epoch: every page of pages becomes a record of man's segment
+// (none is created for an epoch without pages), then the manifest commits
+// it. A crash or failure before the manifest leaves at most an invisible
+// segment, so the caller simply reruns.
+func writeSegment(fs FS, man *Manifest, pages *PageSet, codec compress.Codec) error {
+	var w segmentWriter
+	if pages.Len() > 0 || man.Base != nil {
+		f, err := fs.Create(segmentFile(*man))
+		if err != nil {
+			return fmt.Errorf("create segment: %w", err)
+		}
+		w.reset(f)
+	}
+	var enc []byte // codec output, reused page after page: append copies it out
+	for id, data := range pages.All() {
+		rawHash := contentHash(data)
+		payload, recHash := data, rawHash
+		if codec != compress.None {
+			enc = compress.EncodeInto(codec, data, enc)
+			payload, recHash = enc, contentHash(enc)
+		}
+		if err := w.append(man, id, payload, recHash, rawHash); err != nil {
+			w.abort()
+			return fmt.Errorf("page %d: %w", id, err)
+		}
+	}
+	return w.seal(fs, man, nil)
+}
+
+// payloadPool recycles codec output buffers across pages and epochs. A
+// buffer belongs to the WritePage call that took it and goes back before
+// that call returns: append copies the record out.
+var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeManifestFile encodes a manifest to name; closing the file is the
 // commit point of the epoch or base it describes.
 func writeManifestFile(fs FS, name string, m *Manifest) error {
 	f, err := fs.Create(name)
 	if err != nil {
-		return fmt.Errorf("ckpt: create manifest: %w", err)
+		return fmt.Errorf("create manifest: %w", err)
 	}
 	if err := json.NewEncoder(f).Encode(m); err != nil {
 		Discard(f)
-		return fmt.Errorf("ckpt: encode manifest: %w", err)
+		return fmt.Errorf("encode manifest: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("ckpt: close manifest: %w", err)
+		return fmt.Errorf("publish manifest: %w", err)
 	}
 	return nil
 }
@@ -370,9 +281,9 @@ type DedupStats struct {
 // storage.Backend so the page manager can commit straight into it, and its
 // write path is concurrency-safe: any number of committer workers may call
 // WritePage for the open epoch simultaneously (hashing and encoding happen
-// outside the repository lock, and a single segment-writer goroutine
-// appends the staged records in arrival order), with EndEpoch acting as the
-// epoch's barrier.
+// outside every lock; one locked append per record puts it in the segment
+// buffer and the manifest), with EndEpoch acting as the epoch's barrier.
+// The repository starts no goroutine.
 //
 // Repositories write format-v2 manifests: every stored page carries a
 // content hash, and pages whose content is bit-identical to the newest
@@ -396,47 +307,37 @@ type Repository struct {
 	// load to one atomic increment on most pages.
 	recordTick atomic.Uint64
 
-	mu      sync.Mutex
-	w       *segmentWriter //aickpt:guardedby mu (nil until the epoch's first physical record)
-	stage   *epochStage    //aickpt:guardedby mu (segment-writer stage; lifecycle follows w)
-	curMan  Manifest       //aickpt:guardedby mu
-	curOpen bool           //aickpt:guardedby mu
+	// seg is the one segment writer; seg.f is guarded by mu (non-nil from
+	// the open epoch's first physical record until its seal or discard).
+	seg segmentWriter
 
-	index       map[int]pageIdx //aickpt:guardedby mu (newest sealed content per page)
-	pending     map[int]pageIdx //aickpt:guardedby mu (current open epoch; merged into index at seal)
-	indexLoaded bool            //aickpt:guardedby mu
-	sizeChecked bool            //aickpt:guardedby mu (existing chain's page size validated against ours)
-	stats       DedupStats      //aickpt:guardedby mu (sealed epochs only)
-	curStats    DedupStats      //aickpt:guardedby mu (open epoch; folded into stats at seal, dropped on abort)
+	mu sync.Mutex
+	// curMan is the open epoch's manifest. Between epochs it keeps the
+	// last epoch's Pages/Hashes/Refs arrays, emptied, so steady-state
+	// epochs append without growing the heap. While the epoch is open,
+	// Pages/Hashes/PageCount/TotalBytes belong to seg.append's lock.
+	curMan  Manifest //aickpt:guardedby mu
+	curOpen bool     //aickpt:guardedby mu
 
-	// Per-epoch bookkeeping recycled across epochs: the manifest's slices
-	// and the pending map are dropped by value at each seal, but their
-	// backing storage is reclaimed here after the manifest is on disk, so
-	// steady-state epochs append and insert without growing the heap.
-	pagesScratch   []int           //aickpt:guardedby mu
-	hashesScratch  []uint64        //aickpt:guardedby mu
-	refsScratch    []PageRef       //aickpt:guardedby mu
-	pendingScratch map[int]pageIdx //aickpt:guardedby mu
+	index    map[int]pageIdx //aickpt:guardedby mu (newest sealed content per page; nil until the chain is loaded)
+	pending  map[int]pageIdx //aickpt:guardedby mu (open epoch's pages; merged into index at seal, emptied at every epoch end)
+	stats    DedupStats      //aickpt:guardedby mu (sealed epochs only)
+	curStats DedupStats      //aickpt:guardedby mu (open epoch; folded into stats at seal, dropped on discard)
 }
 
-// reclaimEpochScratchLocked takes the closed epoch's manifest slices and
-// pending map back as scratch for the next epoch. Only call once the
-// manifest is durably encoded (or discarded): the recycled arrays will be
-// overwritten.
-func (r *Repository) reclaimEpochScratchLocked() {
-	if r.curMan.Pages != nil {
-		r.pagesScratch = r.curMan.Pages[:0]
-	}
-	if r.curMan.Hashes != nil {
-		r.hashesScratch = r.curMan.Hashes[:0]
-	}
-	if r.curMan.Refs != nil {
-		r.refsScratch = r.curMan.Refs[:0]
-	}
-	if r.pending != nil {
-		clear(r.pending)
-		r.pendingScratch = r.pending
-	}
+// discardEpochLocked ends the open epoch, if any, in the one way every path
+// ends it — seal, failed seal, Abort: a segment still unpublished is
+// abandoned (an unsealed epoch is invisible to restore, which is the
+// crash-consistency contract), the epoch's counters and pending index
+// entries are dropped, and the manifest's arrays are emptied for reuse.
+// After a successful seal only the bookkeeping is left to drop. Call only
+// once the manifest is encoded or given up: the arrays will be overwritten.
+func (r *Repository) discardEpochLocked() {
+	r.seg.abort()
+	r.curOpen = false
+	r.curStats = DedupStats{}
+	clear(r.pending)
+	r.curMan.Pages, r.curMan.Hashes, r.curMan.Refs = r.curMan.Pages[:0], r.curMan.Hashes[:0], r.curMan.Refs[:0]
 }
 
 // NewRepository returns a repository writing pageSize-sized pages to fs,
@@ -496,7 +397,9 @@ func (r *Repository) DedupStats() DedupStats {
 	return r.stats
 }
 
-// loadIndexLocked rebuilds the dedup index from the chain's manifests (no
+// loadIndexLocked runs once, before the first epoch opens: the one strict
+// chain load both validates the chain we are about to extend (page size,
+// no interior damage) and rebuilds the dedup index from its manifests (no
 // segment reads: v2 manifests carry content hashes). Pages recorded by v1
 // manifests enter the index without a hash and are never deduplicated
 // against — their first rewrite stores physically and upgrades them.
@@ -508,8 +411,8 @@ func (r *Repository) loadIndexLocked() error {
 	if ch.PageSize != 0 && ch.PageSize != r.pageSize {
 		return fmt.Errorf("ckpt: repository chain has page size %d, repository opened with %d", ch.PageSize, r.pageSize)
 	}
-	r.index = make(map[int]pageIdx)
-	fold := func(m Manifest) {
+	r.index, r.pending = make(map[int]pageIdx), make(map[int]pageIdx)
+	for _, m := range ch.Live() {
 		hasHashes := m.Format >= FormatV2 && len(m.Hashes) == len(m.Pages)
 		for i, p := range m.Pages {
 			e := pageIdx{epoch: m.Epoch}
@@ -522,70 +425,23 @@ func (r *Repository) loadIndexLocked() error {
 			r.index[ref.Page] = pageIdx{hash: ref.Hash, epoch: ref.Epoch, hasHash: true}
 		}
 	}
-	if ch.Base != nil {
-		fold(*ch.Base)
-	}
-	for _, m := range ch.Epochs {
-		fold(m)
-	}
-	r.indexLoaded = true
-	r.sizeChecked = true
-	return nil
-}
-
-// checkChainPageSizeLocked is the dedup-off counterpart of the index
-// load's validation: one manifest decode (the newest chain entry) instead
-// of the whole chain, so a repository opened at the wrong granularity
-// still refuses to extend the chain.
-func (r *Repository) checkChainPageSizeLocked() error {
-	if r.sizeChecked {
-		return nil
-	}
-	names, err := r.fs.List()
-	if err != nil {
-		return fmt.Errorf("ckpt: list: %w", err)
-	}
-	var picks []string
-	for _, n := range names {
-		// Sorted names put base-* before epoch-*, so the newest epoch
-		// manifest wins whenever one exists.
-		if (strings.HasPrefix(n, "epoch-") || strings.HasPrefix(n, "base-")) && strings.HasSuffix(n, ".json") {
-			picks = append(picks, n)
-		}
-	}
-	// Walk newest to oldest: the newest *decodable* manifest carries the
-	// chain's page size. Torn manifests (crash artifacts at the tail) are
-	// skipped here; the strict chain loader decides whether a decode
-	// failure is fatal when the chain is actually read.
-	for i := len(picks) - 1; i >= 0; i-- {
-		m, err := decodeManifestFile(r.fs, picks[i])
-		if err != nil {
-			continue
-		}
-		if m.PageSize != r.pageSize {
-			return fmt.Errorf("ckpt: repository chain has page size %d, repository opened with %d", m.PageSize, r.pageSize)
-		}
-		break
-	}
-	r.sizeChecked = true
 	return nil
 }
 
 // WritePage implements storage.Backend. Pages of an epoch may arrive in any
-// order; the first page of a new epoch opens its segment. data must be
-// non-nil (the repository stores real content; phantom simulations use the
-// timing backends instead). A page whose content hash matches the newest
-// chain entry is deduplicated: no segment record is written, only a
-// manifest Ref.
+// order; the first page of a new epoch opens it, its first physical record
+// opens the segment. data must be non-nil (the repository stores real
+// content; phantom simulations use the timing backends instead). A page
+// whose content hash matches the newest chain entry is deduplicated: no
+// segment record is written, only a manifest Ref.
 //
 // WritePage is safe for concurrent use within one epoch (the parallel
 // commit pipeline's workers). Content hashing and codec encoding run
-// outside the repository lock; the dedup decision and manifest bookkeeping
-// are taken under it; and the encoded record is handed to a per-epoch
-// staging buffer drained by a single segment-writer goroutine, so the
-// on-disk format is byte-for-byte the serial one. data is only read before
-// WritePage returns — callers may reuse or mutate the buffer afterwards.
-// Interleaving pages of two different epochs remains an error.
+// outside every lock; the dedup decision and its bookkeeping are taken
+// under the repository's; and the record is copied into the segment buffer
+// by one locked append, so file order is manifest order. data is only read
+// before WritePage returns — callers may reuse or mutate the buffer
+// afterwards. Interleaving pages of two different epochs remains an error.
 //
 //aickpt:hotpath
 func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) error {
@@ -610,27 +466,16 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 		return fmt.Errorf("ckpt: page for epoch %d while epoch %d is open", epoch, r.curMan.Epoch)
 	}
 	if !r.curOpen {
-		if r.dedup && !r.indexLoaded {
+		if r.index == nil {
 			if err := r.loadIndexLocked(); err != nil {
 				r.mu.Unlock()
 				return err
 			}
-		} else if err := r.checkChainPageSizeLocked(); err != nil {
-			r.mu.Unlock()
-			return err
 		}
 		r.curMan = Manifest{
 			Epoch: epoch, PageSize: r.pageSize, Codec: uint8(r.codec), Format: FormatV2,
-			// Recycled backing arrays; empty until this epoch appends.
-			Pages: r.pagesScratch, Hashes: r.hashesScratch, Refs: r.refsScratch,
-		}
-		r.pagesScratch, r.hashesScratch, r.refsScratch = nil, nil, nil
-		if r.dedup {
-			if r.pendingScratch != nil {
-				r.pending, r.pendingScratch = r.pendingScratch, nil
-			} else {
-				r.pending = make(map[int]pageIdx)
-			}
+			// The last epoch's arrays, emptied by discardEpochLocked.
+			Pages: r.curMan.Pages, Hashes: r.curMan.Hashes, Refs: r.curMan.Refs,
 		}
 		r.curOpen = true
 	}
@@ -659,43 +504,36 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 			return nil
 		}
 	}
-	if r.w == nil {
+	if r.seg.f == nil {
 		f, err := r.fs.Create(segmentName(epoch))
 		if err != nil {
 			r.mu.Unlock()
 			return fmt.Errorf("ckpt: create segment: %w", err)
 		}
-		r.w = &segmentWriter{pageSize: r.pageSize, codec: uint8(r.codec)}
-		if err := r.w.begin(f); err != nil {
-			r.mu.Unlock()
-			return err
-		}
-		r.stage = newEpochStage(r.w, &r.curMan, r.obs)
+		r.seg.reset(f)
 	}
-	if r.pending != nil {
-		r.pending[page] = pageIdx{hash: rawHash, epoch: epoch, hasHash: true}
-	}
+	r.pending[page] = pageIdx{hash: rawHash, epoch: epoch, hasHash: true}
 	r.curStats.PagesStored++
 	r.curStats.BytesStored += int64(size)
-	stage, codec := r.stage, compress.Codec(r.codec)
+	codec := r.codec
 	r.mu.Unlock()
-	// Encode off-lock. A payload that still aliases the caller's buffer
-	// (codec None) is marked borrowed: if it must be staged for the writer
-	// goroutine — the record then outlives this call, while the caller's
-	// page becomes writable again the moment the committer marks it done —
-	// the stage copies it; the synchronous fast path writes it copy-free.
-	// Codec output goes into a pooled buffer released once the record
-	// reaches the segment, so steady-state encoding allocates nothing.
-	job := recordJob{page: page, payload: data, rawHash: rawHash}
-	borrowed := true
+	// Encode and hash the record off-lock, into a pooled buffer this call
+	// owns until the append has copied it out. Without a codec the record
+	// is the page and its hash the content hash already in hand.
+	payload, recHash := data, rawHash
+	var buf *[]byte
 	if codec != compress.None {
-		buf := payloadPool.Get().(*[]byte) //aickpt:owns handed to the staged job; recordJob.release returns it
-		job.payload = compress.EncodeInto(codec, data, *buf)
-		job.buf = buf
-		borrowed = false
+		buf = payloadPool.Get().(*[]byte)
+		payload = compress.EncodeInto(codec, data, *buf)
+		recHash = contentHash(payload)
 	}
-	coded := len(job.payload)
-	if err := stage.submit(job, borrowed); err != nil {
+	err := r.seg.append(&r.curMan, page, payload, recHash, rawHash)
+	coded := len(payload)
+	if buf != nil {
+		*buf = payload[:0]
+		payloadPool.Put(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	if r.obs != nil {
@@ -713,70 +551,40 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 	return nil
 }
 
-// EndEpoch implements storage.Backend: it drains the staged records,
-// flushes the segment and writes the manifest, sealing the epoch. Dedup
-// index updates commit here — an aborted epoch leaves the index untouched,
-// so later dedup decisions only ever reference sealed content. EndEpoch
-// must not run concurrently with WritePage calls for the same epoch; the
+// EndEpoch implements storage.Backend: it flushes and publishes the
+// segment, then writes the manifest, sealing the epoch. Dedup index updates
+// and counters commit here, after the seal. Sealed or not, no epoch is open
+// when EndEpoch returns: a failed seal discards the epoch whole — index and
+// counters untouched, so later dedup decisions only ever reference sealed
+// content — and a retry writes it again from its first page. EndEpoch must
+// not run concurrently with WritePage calls for the same epoch; the
 // committer's epoch-end barrier provides exactly that ordering.
 func (r *Repository) EndEpoch(epoch uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	man := &r.curMan
 	if !r.curOpen {
 		// An epoch with zero dirty pages still seals (empty manifest) so
 		// restore knows the checkpoint completed.
-		r.curMan = Manifest{Epoch: epoch, PageSize: r.pageSize, Format: FormatV2}
-	} else if r.curMan.Epoch != epoch {
-		return fmt.Errorf("ckpt: sealing epoch %d while epoch %d is open", epoch, r.curMan.Epoch)
+		man = &Manifest{Epoch: epoch, PageSize: r.pageSize, Format: FormatV2}
+	} else if man.Epoch != epoch {
+		return fmt.Errorf("ckpt: sealing epoch %d while epoch %d is open", epoch, man.Epoch)
 	}
-	if r.stage != nil {
-		err := r.stage.close()
-		r.stage = nil
-		if err != nil {
-			// A record never reached the segment: the epoch cannot seal.
-			// Discard it entirely — an unsealed epoch is invisible to
-			// restore, which is the crash-consistency contract — and drop
-			// its staged stats with it (the bookkeeping storage is still
-			// reclaimed: the discarded manifest is never read again).
-			r.w.abort()
-			r.w = nil
-			r.curOpen = false
-			r.reclaimEpochScratchLocked()
-			r.pending = nil
-			r.curStats = DedupStats{}
-			return fmt.Errorf("ckpt: %w", err)
-		}
-	}
-	if r.w != nil {
-		if err := r.w.finish(); err != nil {
-			return fmt.Errorf("ckpt: segment: %w", err)
-		}
-	}
-	mstart := r.obs.Now()
-	if err := writeManifestFile(r.fs, manifestName(epoch), &r.curMan); err != nil {
-		return err
+	defer r.discardEpochLocked()
+	if err := r.seg.seal(r.fs, man, r.obs); err != nil {
+		return fmt.Errorf("ckpt: seal epoch %d: %w", epoch, err)
 	}
 	if r.obs != nil {
-		r.obs.ManifestWriteNs.Observe(int64(r.obs.Now() - mstart))
 		r.obs.EpochsSealedRepo.Inc()
 	}
-	if r.indexLoaded {
-		for p, e := range r.pending {
-			r.index[p] = e
-		}
+	for p, e := range r.pending {
+		r.index[p] = e
 	}
 	// The epoch is durable: its dedup counters become visible.
 	r.stats.PagesStored += r.curStats.PagesStored
 	r.stats.BytesStored += r.curStats.BytesStored
 	r.stats.PagesDeduped += r.curStats.PagesDeduped
 	r.stats.BytesDeduped += r.curStats.BytesDeduped
-	r.curStats = DedupStats{}
-	r.curOpen = false
-	r.w = nil
-	// The manifest is on disk and the index merged: the epoch's slices and
-	// pending map become the next epoch's pre-grown scratch.
-	r.reclaimEpochScratchLocked()
-	r.pending = nil
 	return nil
 }
 
@@ -784,20 +592,5 @@ func (r *Repository) EndEpoch(epoch uint64) error {
 func (r *Repository) Abort() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.curOpen {
-		if r.stage != nil {
-			// Join the segment writer before tearing down the state it
-			// appends to; its outcome no longer matters.
-			_ = r.stage.close()
-			r.stage = nil
-		}
-		if r.w != nil {
-			r.w.abort()
-		}
-		r.curOpen = false
-		r.w = nil
-		r.reclaimEpochScratchLocked()
-		r.pending = nil
-		r.curStats = DedupStats{}
-	}
+	r.discardEpochLocked()
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+
+	"repro/internal/compress"
 )
 
 // Segment health statuses reported by VerifyChain.
@@ -148,28 +150,8 @@ func Quarantine(fs FS, name string) error {
 // decodable, or nil to drop them (refs are never needed for restore).
 func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages *PageSet, refs []PageRef) (Manifest, error) {
 	man := Manifest{Epoch: epoch, PageSize: pageSize, Format: FormatV2, Refs: refs}
-	if pages.Len() > 0 {
-		w := &segmentWriter{pageSize: pageSize}
-		f, err := fs.Create(segmentName(epoch))
-		if err != nil {
-			return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d: %w", epoch, err)
-		}
-		if err := w.begin(f); err != nil {
-			Discard(f)
-			return Manifest{}, err
-		}
-		for id, data := range pages.All() {
-			if err := w.writeRecord(&man, id, data, contentHash(data)); err != nil {
-				Discard(f)
-				return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d page %d: %w", epoch, id, err)
-			}
-		}
-		if err := w.finish(); err != nil {
-			return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d: %w", epoch, err)
-		}
-	}
-	if err := writeManifestFile(fs, manifestName(epoch), &man); err != nil {
-		return Manifest{}, err
+	if err := writeSegment(fs, &man, pages, compress.None); err != nil {
+		return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d: %w", epoch, err)
 	}
 	return man, nil
 }

@@ -14,7 +14,6 @@ import (
 //	//aickpt:walltime               site: exempt from the walltime check
 //	//aickpt:acquire <pool>         func or call site: acquires from <pool>
 //	//aickpt:release <pool>         func or call site: releases into <pool>
-//	//aickpt:owns                   acquire site: ownership is handed off
 //	//aickpt:allow <analyzer> [why] site: suppress one analyzer here
 type directive struct {
 	verb string

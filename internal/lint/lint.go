@@ -18,8 +18,7 @@
 //     conversions, defer, closures, composite literals boxed into
 //     interfaces, appends onto non-reused slices).
 //   - poolpair: every sync.Pool Get (and //aickpt:acquire site) needs a
-//     matching release before every return, a deferred release, or an
-//     explicit //aickpt:owns handoff.
+//     matching release before every return or a deferred release.
 //
 // New analyzers register by appending to All; the driver, the -json wire
 // format and the testdata harness need no changes.

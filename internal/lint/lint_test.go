@@ -27,8 +27,8 @@ func TestPoolpairTestdata(t *testing.T) {
 
 // TestTestdataWantCoverage pins the testdata's breadth: every analyzer must
 // demonstrate at least one caught violation (a fulfilled want) and at least
-// one annotated exemption (an //aickpt:allow, :walltime or :owns directive
-// in its package).
+// one annotated exemption (an //aickpt:allow or :walltime directive in its
+// package).
 func TestTestdataWantCoverage(t *testing.T) {
 	cases := []struct {
 		a       *Analyzer
@@ -56,7 +56,7 @@ func TestTestdataWantCoverage(t *testing.T) {
 			dirs := indexDirectives(pkg.Fset, pkg.Files)
 			for _, ds := range dirs.byLine {
 				for _, d := range ds {
-					if d.verb == "allow" || d.verb == "walltime" || d.verb == "owns" {
+					if d.verb == "allow" || d.verb == "walltime" {
 						exempt++
 					}
 				}

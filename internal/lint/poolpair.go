@@ -11,20 +11,18 @@ import (
 // commit path: every value taken from a sync.Pool (x.Get(), or a call to a
 // function annotated //aickpt:acquire <pool>) must be returned to it before
 // the function exits — a Put (or //aickpt:release <pool> call) preceding
-// every return, or a deferred release — unless the acquire site is
-// annotated //aickpt:owns, declaring that ownership is handed off (staged
-// into a queue, stored in a struct released elsewhere).
+// every return, or a deferred release.
 //
 // The analysis is per-function and source-order-based: at every return it
 // compares acquires and releases of the same pool seen earlier in the body.
 // That resolves the common shapes exactly — defer, early-error returns with
 // a Put on each branch, loop-local Get/Put — and over-approximates branchy
-// flows, for which //aickpt:owns or //aickpt:allow poolpair states the
-// ownership argument explicitly (which is the point: a reader should find
-// it stated).
+// flows and ownership handoffs (a buffer stored in a struct and released
+// elsewhere), for which //aickpt:allow poolpair states the ownership
+// argument explicitly (which is the point: a reader should find it stated).
 var Poolpair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "sync.Pool Get (and //aickpt:acquire) needs a release on every return path or an //aickpt:owns handoff",
+	Doc:  "sync.Pool Get (and //aickpt:acquire) needs a release on every return path",
 	Run:  runPoolpair,
 }
 
@@ -32,7 +30,6 @@ type poolEvent struct {
 	pool    string
 	pos     token.Pos
 	acquire bool
-	owns    bool
 }
 
 func runPoolpair(pass *Pass) {
@@ -119,10 +116,6 @@ func checkPoolBalance(pass *Pass, fd *ast.FuncDecl, annotated map[types.Object]d
 			return true
 		case *ast.CallExpr:
 			if ev, ok := classify(n); ok {
-				if ev.acquire {
-					p := pass.Fset.Position(ev.pos)
-					ev.owns = len(pass.dirs.at(p.Filename, p.Line, "owns")) > 0
-				}
 				events = append(events, ev)
 			}
 			return true
@@ -142,7 +135,7 @@ func checkPoolBalance(pass *Pass, fd *ast.FuncDecl, annotated map[types.Object]d
 		firstLeak := map[string]*poolEvent{} // pool -> earliest candidate site
 		for i := range events {
 			ev := &events[i]
-			if ev.pos >= ret || ev.owns || deferred[ev.pool] {
+			if ev.pos >= ret || deferred[ev.pool] {
 				continue
 			}
 			if ev.acquire {
@@ -165,7 +158,7 @@ func checkPoolBalance(pass *Pass, fd *ast.FuncDecl, annotated map[types.Object]d
 			reported[ev.pos] = true
 			retPos := pass.Fset.Position(ret)
 			pass.Reportf(ev.pos,
-				"%s acquire is not released on the return path ending at line %d (add a Put/release, defer it, or annotate the handoff //aickpt:owns)",
+				"%s acquire is not released on the return path ending at line %d (add a Put/release, defer it, or state the handoff with //aickpt:allow poolpair)",
 				pool, retPos.Line)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package poolpairtest exercises the poolpair analyzer: leaked Gets, the
-// defer and per-branch release shapes, //aickpt:owns handoffs, and functions
+// defer and per-branch release shapes, //aickpt:allow handoffs, and functions
 // annotated //aickpt:acquire / //aickpt:release.
 package poolpairtest
 
@@ -36,7 +36,7 @@ func balancedBranches(fail bool) int {
 
 // handsOff stages the buffer into a struct released elsewhere.
 func handsOff(h *holder) {
-	h.buf = bufPool.Get().(*[]byte) //aickpt:owns released by (*holder).drop
+	h.buf = bufPool.Get().(*[]byte) //aickpt:allow poolpair released by (*holder).drop
 }
 
 // drop is the matching release of handsOff's buffer.
@@ -53,7 +53,7 @@ func drop(h *holder) {
 //
 //aickpt:acquire bufPool
 func borrow() *[]byte {
-	return bufPool.Get().(*[]byte) //aickpt:owns returned to the caller
+	return bufPool.Get().(*[]byte) //aickpt:allow poolpair returned to the caller
 }
 
 // viaWrappers uses the annotated pair; balance holds through them.

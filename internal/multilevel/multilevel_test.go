@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/faultfs"
 	"repro/internal/netsim"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
@@ -290,6 +291,52 @@ func TestDrainRetriesWithBackoff(t *testing.T) {
 	if flaky.Calls() != 3 {
 		t.Errorf("store attempts = %d, want 3", flaky.Calls())
 	}
+}
+
+// A lower LocalTier whose segment publish fails once: the failed seal
+// discards the epoch, so the drain's retry stores it again from its first
+// page — not as a manifest of refs into a segment that was never published
+// — and the tier alone restores the image after L1 is lost.
+func TestDrainRetryAfterFailedSealStoresTheEpochAgain(t *testing.T) {
+	k := sim.NewKernel()
+	local := NewLocalTier(k, "local", &ckpt.MemFS{}, pageSize, nil)
+	// Op 2 on the tier's filesystem is the first drained epoch's segment
+	// publish (op 1 created it).
+	pfsFS := faultfs.Wrap(&ckpt.MemFS{}, faultfs.Plan{FailOps: map[int64]error{2: errors.New("transient publish failure")}})
+	pfs := NewLocalTier(k, "pfs", pfsFS, pageSize, nil)
+	h, err := New(Config{
+		Env: k, PageSize: pageSize, Local: local, Lower: []Tier{pfs},
+		Drain: DrainPolicy{MaxAttempts: 3, RetryBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, k, h, func(snapshot []byte) {
+		if err := h.Err(); err != nil {
+			t.Fatalf("drain error after a retry that should have succeeded: %v", err)
+		}
+		for _, m := range h.Manifests() {
+			if st := m.Tiers[1].State; st != StateStored {
+				t.Errorf("epoch %d on pfs: %s", m.Epoch, st)
+			}
+		}
+		if err := local.Wipe(); err != nil {
+			t.Fatal(err)
+		}
+		im, steps, err := h.Restore()
+		if err != nil {
+			t.Fatalf("restore from the retried tier: %v", err)
+		}
+		if im.Epoch != 3 || len(steps) != 3 {
+			t.Fatalf("restored epoch %d in %d steps, want epoch 3 in 3", im.Epoch, len(steps))
+		}
+		for _, s := range steps {
+			if s.Tier != "pfs" {
+				t.Errorf("epoch %d restored from %q, want pfs", s.Epoch, s.Tier)
+			}
+		}
+		verifyImage(t, im, snapshot)
+	})
 }
 
 // The retry delay doubles only up to MaxRetryBackoff: a large attempt

@@ -71,7 +71,6 @@ func (m *Metrics) counterRefs() []counterRef {
 func (m *Metrics) gaugeRefs() []gaugeRef {
 	refs := []gaugeRef{
 		{"aickpt_core_cow_in_use", "", "COW slots currently held", &m.CowInUse},
-		{"aickpt_ckpt_staging_depth", "", "records staged ahead of the segment writer", &m.StagingDepth},
 		{"aickpt_multilevel_failed_tier_copies", "", "tier copies currently past their retry budget", &m.FailedTierCopies},
 	}
 	for t := range m.DrainQueueDepth {

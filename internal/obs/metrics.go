@@ -246,7 +246,6 @@ type Metrics struct {
 	RecordCodedBytes Counter   // payload bytes after codec encoding
 	DedupHits        Counter   // page writes elided by content-addressed dedup
 	DedupMisses      Counter   // page writes stored physically
-	StagingDepth     Gauge     // records staged ahead of the segment writer
 	EpochsSealedRepo Counter   // repository epochs sealed
 	ManifestWriteNs  Histogram // manifest encode+write latency at seal
 
