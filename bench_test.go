@@ -1,15 +1,9 @@
 package aickpt
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (Figures 2a-2c, 3a/3b, 4a, 4b, 5), each reporting the figure's
-// headline quantities as custom metrics, plus microbenchmarks of the
-// runtime's hot paths and ablations of Algorithm 4's priority tiers.
-//
-// Figure benchmarks run the deterministic virtual-time simulation at a
-// reduced scale (see internal/experiments); per-iteration wall time is the
-// cost of simulating the experiment, while the reported custom metrics are
-// the simulated results themselves. `go run ./cmd/experiments` prints the
-// same numbers as tables.
+// Benchmark harness: microbenchmarks of the runtime's hot paths, and an
+// ablation of Algorithm 4's priority tiers on the virtual-time simulator
+// (internal/experiments; its scenarios and golden outputs are the paper's
+// figures).
 
 import (
 	"encoding/binary"
@@ -30,155 +24,7 @@ import (
 	"repro/internal/workload"
 )
 
-const benchScale = 64 // memory division factor for figure benchmarks
-
-// BenchmarkFig2a reproduces Figure 2(a): increase in execution time of the
-// synthetic benchmark for each (pattern, approach).
-func BenchmarkFig2a(b *testing.B) {
-	for _, pattern := range []workload.Pattern{workload.Ascending, workload.Random, workload.Descending} {
-		for _, strategy := range experiments.Strategies {
-			b.Run(fmt.Sprintf("%v/%v", pattern, strategy), func(b *testing.B) {
-				cfg := experiments.NewSyntheticConfig(benchScale, pattern)
-				base := experiments.SyntheticBaseline(cfg)
-				var overhead float64
-				for i := 0; i < b.N; i++ {
-					run := experiments.RunSynthetic(cfg, strategy)
-					overhead = (run.Runtime - base).Seconds()
-				}
-				b.ReportMetric(overhead, "overhead-s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig2b reproduces Figure 2(b): pages that triggered WAIT.
-func BenchmarkFig2b(b *testing.B) {
-	for _, pattern := range []workload.Pattern{workload.Ascending, workload.Random, workload.Descending} {
-		for _, strategy := range []core.Strategy{core.Adaptive, core.NoPattern} {
-			b.Run(fmt.Sprintf("%v/%v", pattern, strategy), func(b *testing.B) {
-				cfg := experiments.NewSyntheticConfig(benchScale, pattern)
-				var waits float64
-				for i := 0; i < b.N; i++ {
-					waits = experiments.RunSynthetic(cfg, strategy).AvgWaits
-				}
-				b.ReportMetric(waits, "waits/ckpt")
-			})
-		}
-	}
-}
-
-// BenchmarkFig2c reproduces Figure 2(c): pages that triggered AVOIDED.
-func BenchmarkFig2c(b *testing.B) {
-	for _, pattern := range []workload.Pattern{workload.Ascending, workload.Random, workload.Descending} {
-		for _, strategy := range []core.Strategy{core.Adaptive, core.NoPattern} {
-			b.Run(fmt.Sprintf("%v/%v", pattern, strategy), func(b *testing.B) {
-				cfg := experiments.NewSyntheticConfig(benchScale, pattern)
-				var avoided float64
-				for i := 0; i < b.N; i++ {
-					avoided = experiments.RunSynthetic(cfg, strategy).AvgAvoided
-				}
-				b.ReportMetric(avoided, "avoided/ckpt")
-			})
-		}
-	}
-}
-
-// BenchmarkFig3a reproduces Figure 3(a): CM1 average checkpointing time
-// under weak scaling.
-func BenchmarkFig3a(b *testing.B) {
-	for _, procs := range []int{1, 8} {
-		for _, strategy := range experiments.Strategies {
-			b.Run(fmt.Sprintf("procs%d/%v", procs, strategy), func(b *testing.B) {
-				cfg := experiments.NewCM1Config(2*benchScale, procs)
-				var ckpt float64
-				for i := 0; i < b.N; i++ {
-					ckpt = experiments.RunCM1(cfg, strategy, true).AvgCkptTime.Seconds()
-				}
-				b.ReportMetric(ckpt, "ckpt-s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig3b reproduces Figure 3(b): CM1 increase in execution time
-// under weak scaling.
-func BenchmarkFig3b(b *testing.B) {
-	for _, procs := range []int{1, 8} {
-		for _, strategy := range experiments.Strategies {
-			b.Run(fmt.Sprintf("procs%d/%v", procs, strategy), func(b *testing.B) {
-				cfg := experiments.NewCM1Config(2*benchScale, procs)
-				base := experiments.RunCM1(cfg, core.Sync, false).Runtime
-				var overhead float64
-				for i := 0; i < b.N; i++ {
-					run := experiments.RunCM1(cfg, strategy, true)
-					overhead = (run.Runtime - base).Seconds()
-				}
-				b.ReportMetric(overhead, "overhead-s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig4a reproduces Figure 4(a): CM1 reduction in checkpointing
-// overhead vs sync as the COW buffer grows.
-func BenchmarkFig4a(b *testing.B) {
-	for _, mb := range []int{0, 16, 256} {
-		b.Run(fmt.Sprintf("cow%dMB", mb), func(b *testing.B) {
-			var ours, np float64
-			for i := 0; i < b.N; i++ {
-				rows := experiments.Fig4a(2*benchScale, 8, []int{mb})
-				for _, r := range rows {
-					if r.Strategy == core.Adaptive {
-						ours = r.ReductionPct
-					} else {
-						np = r.ReductionPct
-					}
-				}
-			}
-			b.ReportMetric(ours, "ours-%")
-			b.ReportMetric(np, "no-pattern-%")
-		})
-	}
-}
-
-// BenchmarkFig4b reproduces Figure 4(b): the MILC COW sweep.
-func BenchmarkFig4b(b *testing.B) {
-	for _, mb := range []int{0, 16, 256} {
-		b.Run(fmt.Sprintf("cow%dMB", mb), func(b *testing.B) {
-			var ours, np float64
-			for i := 0; i < b.N; i++ {
-				rows := experiments.Fig4b(8*benchScale, 20, []int{mb})
-				for _, r := range rows {
-					if r.Strategy == core.Adaptive {
-						ours = r.ReductionPct
-					} else {
-						np = r.ReductionPct
-					}
-				}
-			}
-			b.ReportMetric(ours, "ours-%")
-			b.ReportMetric(np, "no-pattern-%")
-		})
-	}
-}
-
-// BenchmarkFig5 reproduces Figure 5: MILC weak scaling, COW deactivated.
-func BenchmarkFig5(b *testing.B) {
-	for _, procs := range []int{10, 20} {
-		for _, strategy := range experiments.Strategies {
-			b.Run(fmt.Sprintf("procs%d/%v", procs, strategy), func(b *testing.B) {
-				cfg := experiments.NewMILCConfig(8*benchScale, procs)
-				base := experiments.RunMILC(cfg, core.Sync, false).Runtime
-				var overhead float64
-				for i := 0; i < b.N; i++ {
-					run := experiments.RunMILC(cfg, strategy, true)
-					overhead = (run.Runtime - base).Seconds()
-				}
-				b.ReportMetric(overhead, "overhead-s")
-			})
-		}
-	}
-}
+const benchScale = 64 // memory division factor of the simulated ablation
 
 // BenchmarkAblation measures the contribution of each priority tier of
 // Algorithm 4 (DESIGN.md §6): the waited-page hint and the live-COW slot
@@ -186,8 +32,8 @@ func BenchmarkFig5(b *testing.B) {
 // matters most.
 func BenchmarkAblation(b *testing.B) {
 	variants := []struct {
-		name              string
-		noWaited, noIveCw bool
+		name                string
+		noWaited, noLiveCow bool
 	}{
 		{"full", false, false},
 		{"no-waited-hint", true, false},
@@ -196,13 +42,13 @@ func BenchmarkAblation(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			cfg := experiments.NewSyntheticConfig(benchScale, workload.Descending)
-			cfg.NoWaitedHint = v.noWaited
-			cfg.NoLiveCowPriority = v.noIveCw
-			base := experiments.SyntheticBaseline(cfg)
+			d := experiments.Synthetic(benchScale, workload.Descending)
+			d.NoWaitedHint = v.noWaited
+			d.NoLiveCowPriority = v.noLiveCow
+			base := experiments.Simulate(d, core.Adaptive, false).Runtime
 			var overhead float64
 			for i := 0; i < b.N; i++ {
-				run := experiments.RunSynthetic(cfg, core.Adaptive)
+				run := experiments.Simulate(d, core.Adaptive, true)
 				overhead = (run.Runtime - base).Seconds()
 			}
 			b.ReportMetric(overhead, "overhead-s")
@@ -264,25 +110,6 @@ func BenchmarkCheckpointCycle(b *testing.B) {
 		m.WaitIdle()
 	}
 	b.ReportMetric(float64(pages), "pages/ckpt")
-}
-
-// BenchmarkAdaptiveSelectorBuild measures building the Algorithm 4 priority
-// queues for a 65536-page dirty set (the per-checkpoint cost).
-func BenchmarkAdaptiveSelectorBuild(b *testing.B) {
-	const pages = 65536
-	rng := util.NewRNG(1)
-	lastAT := make([]core.AccessType, pages)
-	lastIndex := make([]int32, pages)
-	dirty := util.NewBitset(pages)
-	for p := 0; p < pages; p++ {
-		dirty.Set(p)
-		lastAT[p] = core.AccessType(rng.Intn(5))
-		lastIndex[p] = int32(rng.Intn(pages))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.BuildAdaptiveSelectorForBench(dirty, lastAT, lastIndex)
-	}
 }
 
 // BenchmarkCommitHotPath measures the full steady-state commit pipeline —

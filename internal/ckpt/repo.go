@@ -386,9 +386,6 @@ func (r *Repository) SetMetrics(m *obs.Metrics) {
 	r.obs = m
 }
 
-// PageSize returns the page size the repository was created with.
-func (r *Repository) PageSize() int { return r.pageSize }
-
 // DedupStats returns the dedup counters accumulated since the repository
 // was opened.
 func (r *Repository) DedupStats() DedupStats {

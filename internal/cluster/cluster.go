@@ -20,15 +20,10 @@ const (
 	// RennesDiskBandwidth is the local SATA disk speed on the Grid'5000
 	// Rennes nodes (~55 MB/s).
 	RennesDiskBandwidth = 55 * 1e6
-	// ShamrockDiskBandwidth approximates the Shamrock nodes' 1 TB HDD
-	// streaming write speed.
-	ShamrockDiskBandwidth = 110 * 1e6
 )
 
 // NodeSpec describes one compute node of a deployment.
 type NodeSpec struct {
-	// Procs is the number of application processes on the node.
-	Procs int
 	// NIC configures the node's network interface; zero BytesPerSec means
 	// no NIC is modeled.
 	NIC netsim.LinkConfig

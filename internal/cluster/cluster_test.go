@@ -63,8 +63,7 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 func TestDeploymentPFSStriping(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDeployment(k, 2, NodeSpec{
-		Procs: 1,
-		NIC:   netsim.LinkConfig{BytesPerSec: 1e9},
+		NIC: netsim.LinkConfig{BytesPerSec: 1e9},
 	}, &PFSSpec{Servers: 4, ServerBandwidth: 1e9})
 	if len(d.PFSServers) != 4 || len(d.Nodes) != 2 {
 		t.Fatalf("deployment shape: %d servers, %d nodes", len(d.PFSServers), len(d.Nodes))
@@ -98,8 +97,7 @@ func TestDeploymentPFSStriping(t *testing.T) {
 func TestDeploymentLocalDiskShared(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDeployment(k, 1, NodeSpec{
-		Procs: 2,
-		Disk:  netsim.LinkConfig{BytesPerSec: 4096}, // 1 page/s
+		Disk: netsim.LinkConfig{BytesPerSec: 4096}, // 1 page/s
 	}, nil)
 	aDone, bDone := time.Duration(0), time.Duration(0)
 	k.Go("a", func() {
@@ -121,7 +119,7 @@ func TestDeploymentLocalDiskShared(t *testing.T) {
 
 func TestDeploymentPanicsWithoutResources(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDeployment(k, 1, NodeSpec{Procs: 1}, nil)
+	d := NewDeployment(k, 1, NodeSpec{}, nil)
 	for _, f := range []func(){
 		func() { d.PFSBackend(0) },
 		func() { d.LocalBackend(0) },

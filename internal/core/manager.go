@@ -142,9 +142,6 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Strategy returns the configured strategy.
-func (m *Manager) Strategy() Strategy { return m.cfg.Strategy }
-
 // Epoch returns the number of checkpoints requested so far.
 func (m *Manager) Epoch() uint64 {
 	m.mu.Lock()

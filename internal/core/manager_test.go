@@ -134,7 +134,7 @@ func TestAccessTypesVirtualDeterministic(t *testing.T) {
 		Name:        "disk",
 		BytesPerSec: 10 * testPageSize, // 100ms per page
 	})
-	trace := &storage.TracingStore{Next: storage.NewSimDisk(link)}
+	trace := &tracingStore{next: storage.NewSimDisk(link)}
 	m := NewManager(Config{
 		Env: k, Space: space, Store: trace,
 		Strategy: Adaptive, CowSlots: 1, Name: "vt",
@@ -185,7 +185,7 @@ func TestNoPatternCommitsAscending(t *testing.T) {
 	k := sim.NewKernel()
 	space := pagemem.NewSpace(testPageSize)
 	link := netsim.NewLink(k, netsim.LinkConfig{Name: "disk", BytesPerSec: 10 * testPageSize})
-	trace := &storage.TracingStore{Next: storage.NewSimDisk(link)}
+	trace := &tracingStore{next: storage.NewSimDisk(link)}
 	m := NewManager(Config{Env: k, Space: space, Store: trace, Strategy: NoPattern, Name: "np"})
 	r := space.Alloc(6*testPageSize, true)
 	k.Go("app", func() {
@@ -217,7 +217,7 @@ func TestAdaptiveUsesHistoryOrder(t *testing.T) {
 	k := sim.NewKernel()
 	space := pagemem.NewSpace(testPageSize)
 	link := netsim.NewLink(k, netsim.LinkConfig{Name: "disk", BytesPerSec: 10 * testPageSize})
-	trace := &storage.TracingStore{Next: storage.NewSimDisk(link)}
+	trace := &tracingStore{next: storage.NewSimDisk(link)}
 	m := NewManager(Config{Env: k, Space: space, Store: trace, Strategy: Adaptive, CowSlots: 1, Name: "hist"})
 	r := space.Alloc(6*testPageSize, true)
 	k.Go("app", func() {
@@ -262,7 +262,7 @@ func TestWaitedPageJumpsQueue(t *testing.T) {
 	k := sim.NewKernel()
 	space := pagemem.NewSpace(testPageSize)
 	link := netsim.NewLink(k, netsim.LinkConfig{Name: "disk", BytesPerSec: 10 * testPageSize})
-	trace := &storage.TracingStore{Next: storage.NewSimDisk(link)}
+	trace := &tracingStore{next: storage.NewSimDisk(link)}
 	m := NewManager(Config{Env: k, Space: space, Store: trace, Strategy: Adaptive, CowSlots: 0, Name: "wp"})
 	r := space.Alloc(8*testPageSize, true)
 	var waitTime time.Duration
@@ -521,7 +521,7 @@ func TestEveryDirtyPageCommittedExactlyOnce(t *testing.T) {
 			k := sim.NewKernel()
 			space := pagemem.NewSpace(testPageSize)
 			link := netsim.NewLink(k, netsim.LinkConfig{Name: "disk", BytesPerSec: 30 * testPageSize})
-			trace := &storage.TracingStore{Next: storage.NewSimDisk(link)}
+			trace := &tracingStore{next: storage.NewSimDisk(link)}
 			m := NewManager(Config{
 				Env: k, Space: space, Store: trace,
 				Strategy: strategy, CowSlots: rng.Intn(5), Name: "inv",

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/util"
 )
 
@@ -25,7 +24,7 @@ func TestParallelCommitExactlyOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			const nPages = 64
 			fs := &ckpt.MemFS{}
-			trace := &storage.TracingStore{Next: ckpt.NewRepository(fs, testPageSize)}
+			trace := &tracingStore{next: ckpt.NewRepository(fs, testPageSize)}
 			space := pagemem.NewSpace(testPageSize)
 			m := NewManager(Config{
 				Env:           sim.NewRealEnv(),

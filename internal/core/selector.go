@@ -91,13 +91,6 @@ type adaptiveSelector struct {
 	order []int32 // dirty pages sorted by (LastIndex, page)
 }
 
-// BuildAdaptiveSelectorForBench exposes adaptive-selector construction to
-// the repository-level benchmark harness (the per-checkpoint setup cost of
-// Algorithm 4); it has no other users.
-func BuildAdaptiveSelectorForBench(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) {
-	newAdaptiveSelector(dirty, lastAT, lastIndex)
-}
-
 // classOf maps a previous-epoch access type to its priority class.
 func classOf(at AccessType) int {
 	switch at {
@@ -110,14 +103,6 @@ func classOf(at AccessType) int {
 	default: // After, Untouched (no usable history)
 		return 3
 	}
-}
-
-// newAdaptiveSelector builds a fresh selector (tests and the build
-// benchmark); the manager reuses its embedded selector via build instead.
-func newAdaptiveSelector(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) *adaptiveSelector {
-	s := &adaptiveSelector{}
-	s.build(dirty, lastAT, lastIndex)
-	return s
 }
 
 // build partitions the dirty set by previous-epoch access type, each class

@@ -9,6 +9,14 @@ import (
 	"repro/internal/util"
 )
 
+// newAdaptiveSelector builds a fresh selector; the manager reuses its
+// embedded one via build instead.
+func newAdaptiveSelector(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) *adaptiveSelector {
+	s := &adaptiveSelector{}
+	s.build(dirty, lastAT, lastIndex)
+	return s
+}
+
 func drain(t *testing.T, s selector, m *Manager, remaining *util.Bitset) []int {
 	t.Helper()
 	var out []int
@@ -248,5 +256,24 @@ func TestAdaptiveSelectorQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkAdaptiveSelectorBuild measures building the Algorithm 4 priority
+// queues for a 65536-page dirty set (the per-checkpoint cost).
+func BenchmarkAdaptiveSelectorBuild(b *testing.B) {
+	const pages = 65536
+	rng := util.NewRNG(1)
+	lastAT := make([]AccessType, pages)
+	lastIndex := make([]int32, pages)
+	dirty := util.NewBitset(pages)
+	for p := 0; p < pages; p++ {
+		dirty.Set(p)
+		lastAT[p] = AccessType(rng.Intn(5))
+		lastIndex[p] = int32(rng.Intn(pages))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newAdaptiveSelector(dirty, lastAT, lastIndex)
 	}
 }

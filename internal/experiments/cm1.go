@@ -1,223 +1,57 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// CM1Config parameterizes the §4.4 CM1 study on the Grid'5000 deployment:
+// CM1 is the §4.4 CM1 study on the Grid'5000 deployment, shrunk by scale:
 // one process per node, checkpoints to a PVFS deployment on 10 storage
 // nodes, Gigabit Ethernet everywhere. Per process, 400 MB change per epoch
 // out of 728 MB allocated (at scale 1).
-type CM1Config struct {
-	Scale    int
-	Procs    int
-	CowSlots int
-
-	Workload workload.CM1
-	PFS      cluster.PFSSpec
-	NIC      netsim.LinkConfig
-
-	FaultCost   time.Duration
-	CowCopyCost time.Duration
-
-	// Metrics, when non-nil, is called with the run's virtual clock and
-	// must return the obs.Metrics to attach to process 0's page manager —
-	// instrumenting one representative process keeps the flight
-	// recorder's epoch attribution unambiguous. Run.Epochs then carries
-	// that process's scorecards and lifecycle span trees.
-	Metrics func(now func() time.Duration) *obs.Metrics
-}
-
-// NewCM1Config returns the paper's CM1 configuration shrunk by scale.
-func NewCM1Config(scale, procs int) CM1Config {
-	if scale < 1 {
-		scale = 1
-	}
+func CM1(scale, procs int) Deployment {
+	scale = max(scale, 1)
 	// 400 MB hot state split over 16 prognostic arrays; 328 MB cold.
 	hotPages := 102400 / scale / 16
 	coldPages := 83968 / scale / 8
-	return CM1Config{
-		Scale:    scale,
-		Procs:    procs,
-		CowSlots: 4096 / scale, // 16 MB COW buffer
-		Workload: workload.CM1{
-			WriteArrays:     16,
-			WritePages:      hotPages,
-			ColdArrays:      8,
-			ColdPages:       coldPages,
-			Iterations:      33,
-			CheckpointEvery: 10, // 3 checkpoints, like the 50 s cadence
-			PageCost:        100 * time.Microsecond,
-			CostJitter:      0.3,
-			SpikeP:          0.08,
-			SpikeRun:        64 / min(scale, 16),
-			TouchBatch:      32,
-			HaloBytes:       1 << 20, // ~1 MB of borders per iteration
-			DeviationP:      0.01,
-			Seed:            7,
+	wl := workload.CM1{
+		WriteArrays:     16,
+		WritePages:      hotPages,
+		ColdArrays:      8,
+		ColdPages:       coldPages,
+		Iterations:      33,
+		CheckpointEvery: 10,      // 3 checkpoints, like the 50 s cadence
+		HaloBytes:       1 << 20, // ~1 MB of borders per iteration
+		DeviationP:      0.01,
+		Compute: workload.Compute{
+			PageCost:   100 * time.Microsecond,
+			CostJitter: 0.3,
+			SpikeP:     0.08,
+			SpikeRun:   64 / min(scale, 16),
+			TouchBatch: 32,
+			Seed:       7,
 		},
-		PFS: cluster.PFSSpec{
+	}
+	return Deployment{
+		Name:    "cm1",
+		Procs:   procs,
+		PerNode: 1,
+		Node:    cluster.NodeSpec{NIC: gigabitNIC},
+		PFS: &cluster.PFSSpec{
 			Servers:         10,
 			ServerBandwidth: cluster.RennesDiskBandwidth,
 			PerRequest:      80 * time.Microsecond, // PVFS small-write cost
 		},
-		NIC: netsim.LinkConfig{
-			BytesPerSec: cluster.GigabitBandwidth,
-			Latency:     cluster.GigabitLatency,
+		CowSlots: 4096 / scale, // 16 MB COW buffer
+		Proc: func(env sim.Env, space *pagemem.Space, i int) (func(), *workload.Hooks) {
+			wl := wl
+			wl.Seed += uint64(i) * 101
+			p := workload.NewCM1Proc(env, space, wl)
+			return p.Run, &p.Hooks
 		},
-		FaultCost:   4 * time.Microsecond,
-		CowCopyCost: 1 * time.Microsecond,
 	}
-}
-
-// RunCM1 simulates the full deployment under one strategy. withCkpt=false
-// gives the baseline.
-func RunCM1(cfg CM1Config, strategy core.Strategy, withCkpt bool) Run {
-	k := sim.NewKernel()
-	d := cluster.NewDeployment(k, cfg.Procs, cluster.NodeSpec{Procs: 1, NIC: cfg.NIC}, &cfg.PFS)
-	bar := cluster.NewBarrier(k, cfg.Procs)
-	wg := sim.NewWaitGroup(k)
-	managers := make([]*core.Manager, cfg.Procs)
-	var met *obs.Metrics
-	if cfg.Metrics != nil && withCkpt {
-		met = cfg.Metrics(k.Now)
-	}
-
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		space := pagemem.NewSpace(PageSize)
-		wl := cfg.Workload
-		wl.Seed = cfg.Workload.Seed + uint64(i)*101
-		proc := workload.NewCM1Proc(k, space, wl)
-		proc.Exchange = func(b int64) { d.Exchange(i, b) }
-		proc.Barrier = bar.Wait
-		if withCkpt {
-			var procMet *obs.Metrics
-			if i == 0 {
-				procMet = met
-			}
-			managers[i] = core.NewManager(core.Config{
-				Env:         k,
-				Space:       space,
-				Store:       d.PFSBackend(i),
-				Strategy:    strategy,
-				CowSlots:    cfg.CowSlots,
-				FaultCost:   cfg.FaultCost,
-				CowCopyCost: cfg.CowCopyCost,
-				Name:        fmt.Sprintf("cm1-%d", i),
-				Metrics:     procMet,
-			})
-			proc.Checkpoint = managers[i].Checkpoint
-		}
-		wg.Add(1)
-		k.Go(fmt.Sprintf("cm1-proc%d", i), func() {
-			proc.Run()
-			if managers[i] != nil {
-				managers[i].WaitIdle()
-			}
-			wg.Done()
-		})
-	}
-	var makespan time.Duration
-	k.Go("driver", func() {
-		wg.Wait()
-		makespan = k.Now()
-		for _, m := range managers {
-			if m != nil {
-				m.Close()
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic("experiments: CM1 run failed: " + err.Error())
-	}
-	run := Run{Strategy: strategy, Runtime: makespan}
-	if withCkpt {
-		all := make([][]core.EpochStats, 0, cfg.Procs)
-		for _, m := range managers {
-			all = append(all, m.Stats())
-		}
-		foldStats(&run, all)
-		if met != nil {
-			var spans []obs.Span
-			if met.Spans != nil {
-				spans = met.Spans.Snapshot()
-			}
-			run.Epochs = obs.BuildEpochRecords(managers[0].Scorecards(), spans)
-		}
-	}
-	return run
-}
-
-// Fig3Row is one process-count datapoint of Figures 3(a) and 3(b).
-type Fig3Row struct {
-	Procs    int
-	Strategy core.Strategy
-	// AvgCkptTimeSec: Figure 3(a).
-	AvgCkptTimeSec float64
-	// OverheadSec: Figure 3(b), increase vs baseline.
-	OverheadSec float64
-	Waits       float64
-}
-
-// Fig3 regenerates Figures 3(a) and 3(b): CM1 weak scalability over the
-// given process counts (the paper sweeps 1..32).
-func Fig3(scale int, procCounts []int) []Fig3Row {
-	var rows []Fig3Row
-	for _, procs := range procCounts {
-		cfg := NewCM1Config(scale, procs)
-		base := RunCM1(cfg, core.Sync, false).Runtime
-		for _, strategy := range Strategies {
-			run := RunCM1(cfg, strategy, true)
-			run.Baseline = base
-			rows = append(rows, Fig3Row{
-				Procs:          procs,
-				Strategy:       strategy,
-				AvgCkptTimeSec: run.AvgCkptTime.Seconds(),
-				OverheadSec:    run.Overhead().Seconds(),
-				Waits:          run.AvgWaits,
-			})
-		}
-	}
-	return rows
-}
-
-// Fig4Row is one COW-buffer-size datapoint of Figure 4.
-type Fig4Row struct {
-	CowBufferMB int
-	Strategy    core.Strategy
-	// ReductionPct is the reduction in checkpointing overhead vs sync.
-	ReductionPct float64
-}
-
-// Fig4a regenerates Figure 4(a): CM1 at the maximum process count with the
-// COW buffer swept from 0 to 256 MB.
-func Fig4a(scale int, procs int, cowMBs []int) []Fig4Row {
-	var rows []Fig4Row
-	cfg := NewCM1Config(scale, procs)
-	base := RunCM1(cfg, core.Sync, false).Runtime
-	syncRun := RunCM1(cfg, core.Sync, true)
-	syncRun.Baseline = base
-	for _, mb := range cowMBs {
-		cfg.CowSlots = mb << 20 / PageSize / scale
-		for _, strategy := range []core.Strategy{core.Adaptive, core.NoPattern} {
-			run := RunCM1(cfg, strategy, true)
-			run.Baseline = base
-			rows = append(rows, Fig4Row{
-				CowBufferMB:  mb,
-				Strategy:     strategy,
-				ReductionPct: ReductionVsSync(run, syncRun),
-			})
-		}
-	}
-	return rows
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,11 +74,11 @@ func TestFig2Deterministic(t *testing.T) {
 }
 
 func TestFig3Orderings(t *testing.T) {
-	rows := Fig3(128, []int{1, 4})
-	byProc := map[int]map[core.Strategy]Fig3Row{}
+	rows := weakScaling(128, CM1, []int{1, 4})
+	byProc := map[int]map[core.Strategy]ScalingRow{}
 	for _, r := range rows {
 		if byProc[r.Procs] == nil {
-			byProc[r.Procs] = map[core.Strategy]Fig3Row{}
+			byProc[r.Procs] = map[core.Strategy]ScalingRow{}
 		}
 		byProc[r.Procs][r.Strategy] = r
 	}
@@ -94,8 +95,8 @@ func TestFig3Orderings(t *testing.T) {
 }
 
 func TestFig5AndFig4bOrderings(t *testing.T) {
-	rows := Fig5(1024, []int{10})
-	var ours, np, sync Fig5Row
+	rows := weakScaling(1024, MILC, []int{10})
+	var ours, np, sync ScalingRow
 	for _, r := range rows {
 		switch r.Strategy {
 		case core.Adaptive:
@@ -110,7 +111,7 @@ func TestFig5AndFig4bOrderings(t *testing.T) {
 		t.Errorf("fig5 ordering violated: ours %.2f, np %.2f, sync %.2f",
 			ours.OverheadSec, np.OverheadSec, sync.OverheadSec)
 	}
-	rows4 := Fig4b(1024, 10, []int{0, 256})
+	rows4 := cowSweep(1024, MILC, 10, []int{0, 256})
 	// The reduction must grow (or at least not shrink) with the buffer.
 	var oursSmall, oursBig float64
 	for _, r := range rows4 {
@@ -129,9 +130,9 @@ func TestFig5AndFig4bOrderings(t *testing.T) {
 func TestRenderers(t *testing.T) {
 	var sb strings.Builder
 	RenderFig2(&sb, []Fig2Row{{Pattern: workload.Random, Strategy: core.Adaptive, OverheadSec: 1.5}})
-	RenderFig3(&sb, []Fig3Row{{Procs: 4, Strategy: core.Sync, AvgCkptTimeSec: 2}})
+	RenderFig3(&sb, []ScalingRow{{Procs: 4, Strategy: core.Sync, AvgCkptTimeSec: 2}})
 	RenderFig4(&sb, "Figure 4(a)", []Fig4Row{{CowBufferMB: 16, Strategy: core.NoPattern, ReductionPct: 40}})
-	RenderFig5(&sb, []Fig5Row{{Procs: 10, Strategy: core.Adaptive, OverheadSec: 3}})
+	RenderFig5(&sb, []ScalingRow{{Procs: 10, Strategy: core.Adaptive, OverheadSec: 3}})
 	out := sb.String()
 	for _, want := range []string{"Random", "our-approach", "sync", "async-no-pattern", "Figure 4(a)", "Figure 5"} {
 		if !strings.Contains(out, want) {
@@ -147,9 +148,9 @@ func TestRenderers(t *testing.T) {
 // hit rate (more faults landing on already-flushed pages) and show a
 // strongly positive rank correlation where ascending goes negative.
 func TestScorecardDistinguishesStrategies(t *testing.T) {
-	cfg := NewSyntheticConfig(ScaleBench, workload.Descending)
-	ours := RunSynthetic(cfg, core.Adaptive)
-	np := RunSynthetic(cfg, core.NoPattern)
+	d := Synthetic(ScaleBench, workload.Descending)
+	ours := Simulate(d, core.Adaptive, true)
+	np := Simulate(d, core.NoPattern, true)
 	if ours.HitRate <= np.HitRate {
 		t.Errorf("descending: adaptive hit rate %.3f should exceed ascending %.3f", ours.HitRate, np.HitRate)
 	}
@@ -168,14 +169,10 @@ func TestScorecardDistinguishesStrategies(t *testing.T) {
 // the instrumented run must yield per-epoch records with both a
 // scorecard and a well-formed span tree.
 func TestCM1ScorecardSelectorSignal(t *testing.T) {
-	cfg := NewCM1Config(ScaleTiny, 2)
-	cfg.Metrics = func(now func() time.Duration) *obs.Metrics {
-		m := obs.New(now)
-		m.Spans = obs.NewSpanLog(64)
-		return m
-	}
-	ours := RunCM1(cfg, core.Adaptive, true)
-	np := RunCM1(cfg, core.NoPattern, true)
+	d := CM1(ScaleTiny, 2)
+	d.Metrics = spanMetrics
+	ours := Simulate(d, core.Adaptive, true)
+	np := Simulate(d, core.NoPattern, true)
 	if ours.RankCorrelation <= np.RankCorrelation || ours.RankCorrelation <= 0 {
 		t.Errorf("adaptive rank correlation %.3f should be positive and exceed ascending %.3f",
 			ours.RankCorrelation, np.RankCorrelation)
@@ -184,10 +181,24 @@ func TestCM1ScorecardSelectorSignal(t *testing.T) {
 		t.Errorf("hit rates must be nonzero with overlapping faults: ours %.3f, np %.3f",
 			ours.HitRate, np.HitRate)
 	}
-	if len(ours.Epochs) == 0 {
+	checkEpochRecords(t, ours.Epochs)
+}
+
+// spanMetrics is a Deployment.Metrics hook that keeps span trees.
+func spanMetrics(now func() time.Duration) *obs.Metrics {
+	m := obs.New(now)
+	m.Spans = obs.NewSpanLog(64)
+	return m
+}
+
+// checkEpochRecords asserts an instrumented run yielded per-epoch records
+// with both a scorecard and a well-formed span tree.
+func checkEpochRecords(t *testing.T, epochs []obs.EpochRecord) {
+	t.Helper()
+	if len(epochs) == 0 {
 		t.Fatal("instrumented run produced no epoch records")
 	}
-	for _, r := range ours.Epochs {
+	for _, r := range epochs {
 		if r.Scorecard == nil {
 			t.Errorf("epoch %d record has no scorecard", r.Epoch)
 			continue
@@ -198,6 +209,33 @@ func TestCM1ScorecardSelectorSignal(t *testing.T) {
 		if r.Bounding == "" || r.TotalNs <= 0 {
 			t.Errorf("epoch %d record lacks a critical path: %+v", r.Epoch, r)
 		}
+	}
+}
+
+// TestSimulateEveryDeployment runs each constructor at ScaleTiny with its
+// fewest processes: a baseline run carries no checkpoint stats, two runs
+// are equal, and a Metrics hook yields epoch records for every workload.
+func TestSimulateEveryDeployment(t *testing.T) {
+	for _, d := range []Deployment{
+		Synthetic(ScaleTiny, workload.Random),
+		CM1(ScaleTiny, 1),
+		MILC(ScaleTiny, 10),
+	} {
+		t.Run(d.Name, func(t *testing.T) {
+			d.Metrics = spanMetrics
+			base := Simulate(d, core.Adaptive, false)
+			if base.Runtime <= 0 || !reflect.DeepEqual(base, Run{Strategy: core.Adaptive, Runtime: base.Runtime}) {
+				t.Errorf("baseline carries checkpoint stats: %+v", base)
+			}
+			run := Simulate(d, core.Adaptive, true)
+			if again := Simulate(d, core.Adaptive, true); !reflect.DeepEqual(run, again) {
+				t.Errorf("two runs differ:\n%+v\n%+v", run, again)
+			}
+			if run.AvgCkptTime <= 0 || run.Runtime <= base.Runtime {
+				t.Errorf("checkpointed run shows no checkpoint cost: %+v vs baseline %v", run, base.Runtime)
+			}
+			checkEpochRecords(t, run.Epochs)
+		})
 	}
 }
 

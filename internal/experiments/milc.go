@@ -1,198 +1,54 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// MILCConfig parameterizes the §4.5 MILC study on the Shamrock deployment:
+// MILC is the §4.5 MILC study on the Shamrock deployment, shrunk by scale:
 // 10 processes per node, checkpoints to the node-local disk shared by all
 // ten. Per process, ~830 MB change per trajectory out of 868 MB (scale 1).
-type MILCConfig struct {
-	Scale    int
-	Procs    int
-	PerNode  int
-	CowSlots int
-
-	Workload workload.MILC
-	NIC      netsim.LinkConfig
-	Disk     netsim.LinkConfig
-
-	FaultCost   time.Duration
-	CowCopyCost time.Duration
-}
-
-// NewMILCConfig returns the paper's MILC configuration shrunk by scale.
-// The COW buffer is deactivated by default, as in §4.5.1.
-func NewMILCConfig(scale, procs int) MILCConfig {
-	if scale < 1 {
-		scale = 1
-	}
+// The COW buffer is deactivated, as in §4.5.1.
+func MILC(scale, procs int) Deployment {
+	scale = max(scale, 1)
 	// ~830 MB hot lattice state over 10 arrays (gauge links x4, momenta,
 	// CG vectors...). 212k pages at scale 1.
-	pagesPer := 212480 / scale / 10
-	return MILCConfig{
-		Scale:   scale,
+	wl := workload.MILC{
+		Arrays:              10,
+		PagesPer:            212480 / scale / 10,
+		SweepsPerTrajectory: 4,
+		Trajectories:        3,
+		HaloBytes:           2 << 20,
+		DeviationP:          0.02,
+		Compute: workload.Compute{
+			PageCost:   1300 * time.Microsecond,
+			CostJitter: 0.3,
+			SpikeP:     0.08,
+			SpikeRun:   64 / min(scale, 16),
+			TouchBatch: 32,
+			Seed:       11,
+		},
+	}
+	return Deployment{
+		Name:    "milc",
 		Procs:   procs,
 		PerNode: 10,
-		Workload: workload.MILC{
-			Arrays:              10,
-			PagesPer:            pagesPer,
-			SweepsPerTrajectory: 4,
-			Trajectories:        3,
-			PageCost:            1300 * time.Microsecond,
-			CostJitter:          0.3,
-			SpikeP:              0.08,
-			SpikeRun:            64 / min(scale, 16),
-			TouchBatch:          32,
-			HaloBytes:           2 << 20,
-			DeviationP:          0.02,
-			Seed:                11,
-		},
-		NIC: netsim.LinkConfig{
-			BytesPerSec: cluster.GigabitBandwidth,
-			Latency:     cluster.GigabitLatency,
-		},
-		Disk: netsim.LinkConfig{
+		Node: cluster.NodeSpec{
+			NIC: gigabitNIC,
 			// Effective streaming write bandwidth of the Shamrock HDDs
 			// under 10 concurrent writers.
-			BytesPerSec: 40e6,
-			PerMessage:  10 * time.Microsecond,
+			Disk: netsim.LinkConfig{BytesPerSec: 40e6, PerMessage: 10 * time.Microsecond},
 		},
-		FaultCost:   4 * time.Microsecond,
-		CowCopyCost: 1 * time.Microsecond,
+		Proc: func(env sim.Env, space *pagemem.Space, i int) (func(), *workload.Hooks) {
+			wl := wl
+			wl.Seed += uint64(i) * 131
+			p := workload.NewMILCProc(env, space, wl)
+			return p.Run, &p.Hooks
+		},
 	}
-}
-
-// RunMILC simulates the deployment under one strategy; withCkpt=false gives
-// the baseline.
-func RunMILC(cfg MILCConfig, strategy core.Strategy, withCkpt bool) Run {
-	if cfg.Procs%cfg.PerNode != 0 {
-		panic("experiments: MILC process count must be a multiple of procs/node")
-	}
-	nodes := cfg.Procs / cfg.PerNode
-	k := sim.NewKernel()
-	d := cluster.NewDeployment(k, nodes, cluster.NodeSpec{
-		Procs: cfg.PerNode,
-		NIC:   cfg.NIC,
-		Disk:  cfg.Disk,
-	}, nil)
-	bar := cluster.NewBarrier(k, cfg.Procs)
-	wg := sim.NewWaitGroup(k)
-	managers := make([]*core.Manager, cfg.Procs)
-
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		node := i / cfg.PerNode
-		space := pagemem.NewSpace(PageSize)
-		wl := cfg.Workload
-		wl.Seed = cfg.Workload.Seed + uint64(i)*131
-		proc := workload.NewMILCProc(k, space, wl)
-		proc.Exchange = func(b int64) { d.Exchange(node, b) }
-		proc.Barrier = bar.Wait
-		if withCkpt {
-			managers[i] = core.NewManager(core.Config{
-				Env:         k,
-				Space:       space,
-				Store:       d.LocalBackend(node),
-				Strategy:    strategy,
-				CowSlots:    cfg.CowSlots,
-				FaultCost:   cfg.FaultCost,
-				CowCopyCost: cfg.CowCopyCost,
-				Name:        fmt.Sprintf("milc-%d", i),
-			})
-			proc.Checkpoint = managers[i].Checkpoint
-		}
-		wg.Add(1)
-		k.Go(fmt.Sprintf("milc-proc%d", i), func() {
-			proc.Run()
-			if managers[i] != nil {
-				managers[i].WaitIdle()
-			}
-			wg.Done()
-		})
-	}
-	var makespan time.Duration
-	k.Go("driver", func() {
-		wg.Wait()
-		makespan = k.Now()
-		for _, m := range managers {
-			if m != nil {
-				m.Close()
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic("experiments: MILC run failed: " + err.Error())
-	}
-	run := Run{Strategy: strategy, Runtime: makespan}
-	if withCkpt {
-		all := make([][]core.EpochStats, 0, cfg.Procs)
-		for _, m := range managers {
-			all = append(all, m.Stats())
-		}
-		foldStats(&run, all)
-	}
-	return run
-}
-
-// Fig5Row is one process-count datapoint of Figure 5.
-type Fig5Row struct {
-	Procs    int
-	Strategy core.Strategy
-	// OverheadSec is the increase in execution time vs baseline.
-	OverheadSec float64
-	// AvgCkptTimeSec should stay roughly constant (~210 s at scale 1).
-	AvgCkptTimeSec float64
-}
-
-// Fig5 regenerates Figure 5: MILC weak scalability with the COW buffer
-// deactivated (the paper sweeps 10..280 processes, 10 per node).
-func Fig5(scale int, procCounts []int) []Fig5Row {
-	var rows []Fig5Row
-	for _, procs := range procCounts {
-		cfg := NewMILCConfig(scale, procs)
-		base := RunMILC(cfg, core.Sync, false).Runtime
-		for _, strategy := range Strategies {
-			run := RunMILC(cfg, strategy, true)
-			run.Baseline = base
-			rows = append(rows, Fig5Row{
-				Procs:          procs,
-				Strategy:       strategy,
-				OverheadSec:    run.Overhead().Seconds(),
-				AvgCkptTimeSec: run.AvgCkptTime.Seconds(),
-			})
-		}
-	}
-	return rows
-}
-
-// Fig4b regenerates Figure 4(b): MILC at the maximum process count with the
-// COW buffer swept from 0 to 256 MB.
-func Fig4b(scale int, procs int, cowMBs []int) []Fig4Row {
-	var rows []Fig4Row
-	cfg := NewMILCConfig(scale, procs)
-	base := RunMILC(cfg, core.Sync, false).Runtime
-	syncRun := RunMILC(cfg, core.Sync, true)
-	syncRun.Baseline = base
-	for _, mb := range cowMBs {
-		cfg.CowSlots = mb << 20 / PageSize / cfg.Scale
-		for _, strategy := range []core.Strategy{core.Adaptive, core.NoPattern} {
-			run := RunMILC(cfg, strategy, true)
-			run.Baseline = base
-			rows = append(rows, Fig4Row{
-				CowBufferMB:  mb,
-				Strategy:     strategy,
-				ReductionPct: ReductionVsSync(run, syncRun),
-			})
-		}
-	}
-	return rows
 }

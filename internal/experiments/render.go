@@ -19,7 +19,7 @@ func RenderFig2(w io.Writer, rows []Fig2Row) {
 }
 
 // RenderFig3 prints the Figure 3 table.
-func RenderFig3(w io.Writer, rows []Fig3Row) {
+func RenderFig3(w io.Writer, rows []ScalingRow) {
 	fmt.Fprintln(w, "Figure 3(a): avg checkpointing time (s, lower is better)")
 	fmt.Fprintln(w, "Figure 3(b): increase in execution time vs baseline (s, lower is better)")
 	fmt.Fprintf(w, "%-8s %-18s %12s %14s %10s\n", "procs", "approach", "ckpt(s)", "overhead(s)", "WAIT")
@@ -39,7 +39,7 @@ func RenderFig4(w io.Writer, title string, rows []Fig4Row) {
 }
 
 // RenderFig5 prints the Figure 5 table.
-func RenderFig5(w io.Writer, rows []Fig5Row) {
+func RenderFig5(w io.Writer, rows []ScalingRow) {
 	fmt.Fprintln(w, "Figure 5: increase in execution time vs baseline (s, lower is better)")
 	fmt.Fprintf(w, "%-8s %-18s %14s %12s\n", "procs", "approach", "overhead(s)", "ckpt(s)")
 	for _, r := range rows {

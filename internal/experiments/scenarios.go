@@ -34,19 +34,19 @@ var Scenarios = []Scenario{
 		})},
 	{"fig3", "Figure 3(a)-(b): CM1 weak scalability, 1 to 32 processes",
 		figure("Figure 3: CM1 weak scalability", 2, func(w io.Writer, scale int) {
-			RenderFig3(w, Fig3(scale, []int{1, 2, 4, 8, 16, 32}))
+			RenderFig3(w, weakScaling(scale, CM1, []int{1, 2, 4, 8, 16, 32}))
 		})},
 	{"fig4a", "Figure 4(a): CM1 COW-buffer sweep at 32 processes",
 		figure("Figure 4(a): CM1 COW sweep, 32 processes", 2, func(w io.Writer, scale int) {
-			RenderFig4(w, "Figure 4(a)", Fig4a(scale, 32, cowSweepMB))
+			RenderFig4(w, "Figure 4(a)", cowSweep(scale, CM1, 32, cowSweepMB))
 		})},
 	{"fig4b", "Figure 4(b): MILC COW-buffer sweep at 280 processes",
 		figure("Figure 4(b): MILC COW sweep, 280 processes", 8, func(w io.Writer, scale int) {
-			RenderFig4(w, "Figure 4(b)", Fig4b(scale, 280, cowSweepMB))
+			RenderFig4(w, "Figure 4(b)", cowSweep(scale, MILC, 280, cowSweepMB))
 		})},
 	{"fig5", "Figure 5: MILC weak scalability, 10 to 280 processes",
 		figure("Figure 5: MILC weak scalability", 8, func(w io.Writer, scale int) {
-			RenderFig5(w, Fig5(scale, []int{10, 40, 120, 280}))
+			RenderFig5(w, weakScaling(scale, MILC, []int{10, 40, 120, 280}))
 		})},
 	{"tiers", "1-, 2- and 3-tier hierarchies restored after an L1 wipe and one or two lost peer nodes",
 		runTiers},

@@ -3,136 +3,51 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// SyntheticConfig parameterizes the §4.3 benchmark on one Grid'5000 node.
-// Defaults (via NewSyntheticConfig) follow the paper: a 256 MB region of
-// 4 KB pages touched fully per iteration, 39 iterations, a checkpoint every
-// 10, a 16 MB COW buffer, checkpoints on the node-local ~55 MB/s disk.
-type SyntheticConfig struct {
-	Scale      int
-	Pattern    workload.Pattern
-	Pages      int
-	Iterations int
-	CkptEvery  int
-	CowSlots   int
-	// PageCost is the byte-by-byte transformation cost per 4 KB page.
-	PageCost   time.Duration
-	CostJitter float64
-	SpikeP     float64
-	TouchBatch int
-	// DiskBandwidth / DiskPerPage model the local SATA disk.
-	DiskBandwidth float64
-	DiskPerPage   time.Duration
-	FaultCost     time.Duration
-	CowCopyCost   time.Duration
-	Seed          uint64
-	// Ablation switches forwarded to the page manager (see core.Config).
-	NoWaitedHint      bool
-	NoLiveCowPriority bool
-}
-
-// NewSyntheticConfig returns the paper's configuration shrunk by scale.
-func NewSyntheticConfig(scale int, pattern workload.Pattern) SyntheticConfig {
-	if scale < 1 {
-		scale = 1
+// Synthetic is the §4.3 benchmark on one Grid'5000 node, shrunk by scale.
+// It follows the paper: a 256 MB region of 4 KB pages touched fully per
+// iteration, 39 iterations, a checkpoint every 10, a 16 MB COW buffer,
+// checkpoints on the node-local ~55 MB/s disk.
+func Synthetic(scale int, pattern workload.Pattern) Deployment {
+	scale = max(scale, 1)
+	wl := workload.Synthetic{
+		Pages:           65536 / scale, // 256 MB at scale 1
+		Iterations:      39,
+		CheckpointEvery: 10,
+		Pattern:         pattern,
+		Compute: workload.Compute{
+			// ~55 MB/s byte-by-byte increment loop: 75 us per 4 KB page,
+			// comparable to the disk's per-page flush time.
+			PageCost:   45 * time.Microsecond,
+			CostJitter: 0.3,
+			SpikeP:     0.08,
+			TouchBatch: 32,
+			Seed:       42,
+		},
 	}
-	return SyntheticConfig{
-		Scale:      scale,
-		Pattern:    pattern,
-		Pages:      65536 / scale, // 256 MB at scale 1
-		Iterations: 39,
-		CkptEvery:  10,
-		CowSlots:   4096 / scale, // 16 MB COW buffer at scale 1
-		// ~55 MB/s byte-by-byte increment loop: 75 us per 4 KB page,
-		// comparable to the disk's per-page flush time.
-		PageCost:   45 * time.Microsecond,
-		CostJitter: 0.3,
-		SpikeP:     0.08,
-		TouchBatch: 32,
+	return Deployment{
+		Name:    "synthetic",
+		Procs:   1,
+		PerNode: 1,
 		// Local SATA disk, ~55 MB/s (4 KB page ~= 73 us) and a small
 		// per-request cost.
-		DiskBandwidth: 55e6,
-		DiskPerPage:   5 * time.Microsecond,
-		// mprotect fault + SIGSEGV handler round trip.
-		FaultCost:   4 * time.Microsecond,
-		CowCopyCost: 1 * time.Microsecond,
-		Seed:        42,
+		Node: cluster.NodeSpec{Disk: netsim.LinkConfig{
+			BytesPerSec: cluster.RennesDiskBandwidth,
+			PerMessage:  5 * time.Microsecond,
+		}},
+		CowSlots: 4096 / scale, // 16 MB COW buffer at scale 1
+		Proc: func(env sim.Env, space *pagemem.Space, _ int) (func(), *workload.Hooks) {
+			p := workload.NewSyntheticProc(env, space, wl)
+			return p.Run, &p.Hooks
+		},
 	}
-}
-
-func (c SyntheticConfig) workload() workload.Synthetic {
-	return workload.Synthetic{
-		Pages:           c.Pages,
-		Iterations:      c.Iterations,
-		CheckpointEvery: c.CkptEvery,
-		Pattern:         c.Pattern,
-		PageCost:        c.PageCost,
-		CostJitter:      c.CostJitter,
-		SpikeP:          c.SpikeP,
-		TouchBatch:      c.TouchBatch,
-		Seed:            c.Seed,
-	}
-}
-
-// RunSynthetic executes the benchmark under one strategy and returns its
-// Run (Baseline is filled by the caller via SyntheticBaseline).
-func RunSynthetic(cfg SyntheticConfig, strategy core.Strategy) Run {
-	k := sim.NewKernel()
-	space := pagemem.NewSpace(PageSize)
-	disk := storage.NewSimDisk(netsim.NewLink(k, netsim.LinkConfig{
-		Name:        "local-disk",
-		BytesPerSec: cfg.DiskBandwidth,
-		PerMessage:  cfg.DiskPerPage,
-	}))
-	mgr := core.NewManager(core.Config{
-		Env:               k,
-		Space:             space,
-		Store:             disk,
-		Strategy:          strategy,
-		CowSlots:          cfg.CowSlots,
-		FaultCost:         cfg.FaultCost,
-		CowCopyCost:       cfg.CowCopyCost,
-		Name:              "synthetic",
-		NoWaitedHint:      cfg.NoWaitedHint,
-		NoLiveCowPriority: cfg.NoLiveCowPriority,
-	})
-	region := space.Alloc(cfg.Pages*PageSize, true)
-	var runtime time.Duration
-	k.Go("bench", func() {
-		cfg.workload().Run(k, region, mgr.Checkpoint)
-		mgr.WaitIdle()
-		runtime = k.Now()
-		mgr.Close()
-	})
-	if err := k.Run(); err != nil {
-		panic("experiments: synthetic run failed: " + err.Error())
-	}
-	run := Run{Strategy: strategy, Runtime: runtime}
-	foldStats(&run, [][]core.EpochStats{mgr.Stats()})
-	return run
-}
-
-// SyntheticBaseline measures the benchmark with checkpointing disabled.
-func SyntheticBaseline(cfg SyntheticConfig) time.Duration {
-	k := sim.NewKernel()
-	space := pagemem.NewSpace(PageSize)
-	region := space.Alloc(cfg.Pages*PageSize, true)
-	var runtime time.Duration
-	k.Go("bench", func() {
-		cfg.workload().Run(k, region, nil)
-		runtime = k.Now()
-	})
-	if err := k.Run(); err != nil {
-		panic("experiments: synthetic baseline failed: " + err.Error())
-	}
-	return runtime
 }
 
 // Fig2Row is one (pattern, approach) cell of Figures 2(a)-(c).
@@ -155,14 +70,10 @@ type Fig2Row struct {
 func Fig2(scale int) []Fig2Row {
 	var rows []Fig2Row
 	for _, pattern := range []workload.Pattern{workload.Ascending, workload.Random, workload.Descending} {
-		cfg := NewSyntheticConfig(scale, pattern)
-		base := SyntheticBaseline(cfg)
-		for _, strategy := range Strategies {
-			run := RunSynthetic(cfg, strategy)
-			run.Baseline = base
+		for _, run := range everyStrategy(Synthetic(scale, pattern)) {
 			rows = append(rows, Fig2Row{
 				Pattern:     pattern,
-				Strategy:    strategy,
+				Strategy:    run.Strategy,
 				OverheadSec: run.Overhead().Seconds(),
 				Waits:       run.AvgWaits,
 				Avoided:     run.AvgAvoided,

@@ -56,9 +56,8 @@ const (
 func runTiersConfig(tiers, peerFailures int) tiersResult {
 	k := sim.NewKernel()
 	d := cluster.NewDeployment(k, 4, cluster.NodeSpec{
-		Procs: 1,
-		NIC:   netsim.LinkConfig{BytesPerSec: cluster.GigabitBandwidth, Latency: cluster.GigabitLatency},
-		Disk:  netsim.LinkConfig{BytesPerSec: cluster.RennesDiskBandwidth, PerMessage: 5 * time.Microsecond},
+		NIC:  gigabitNIC,
+		Disk: netsim.LinkConfig{BytesPerSec: cluster.RennesDiskBandwidth, PerMessage: 5 * time.Microsecond},
 	}, &cluster.PFSSpec{Servers: 4, ServerBandwidth: 100e6, PerRequest: 50 * time.Microsecond})
 
 	local := multilevel.NewLocalTier(k, "local", &ckpt.MemFS{}, tiersPageSize, d.LocalBackend(0))

@@ -12,8 +12,6 @@ import (
 //	//aickpt:guardedby <mutex>      field: accesses require <mutex> held
 //	//aickpt:hotpath                func: body must not allocate
 //	//aickpt:walltime               site: exempt from the walltime check
-//	//aickpt:acquire <pool>         func or call site: acquires from <pool>
-//	//aickpt:release <pool>         func or call site: releases into <pool>
 //	//aickpt:allow <analyzer> [why] site: suppress one analyzer here
 type directive struct {
 	verb string

@@ -17,8 +17,8 @@
 //     allocating constructs (fmt.* off the terminating path, string↔[]byte
 //     conversions, defer, closures, composite literals boxed into
 //     interfaces, appends onto non-reused slices).
-//   - poolpair: every sync.Pool Get (and //aickpt:acquire site) needs a
-//     matching release before every return or a deferred release.
+//   - poolpair: every sync.Pool Get needs a matching Put before every
+//     return or a deferred Put.
 //
 // New analyzers register by appending to All; the driver, the -json wire
 // format and the testdata harness need no changes.

@@ -97,9 +97,6 @@ func findModule(dir string) (root, modPath string, err error) {
 // ModPath returns the loader's module path.
 func (l *Loader) ModPath() string { return l.modPath }
 
-// ModRoot returns the loader's module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 // Import implements go/types.Importer over the module + standard library.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.modRoot, 0)

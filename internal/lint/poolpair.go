@@ -8,10 +8,9 @@ import (
 )
 
 // Poolpair codifies the pooling ownership invariants of the zero-allocation
-// commit path: every value taken from a sync.Pool (x.Get(), or a call to a
-// function annotated //aickpt:acquire <pool>) must be returned to it before
-// the function exits — a Put (or //aickpt:release <pool> call) preceding
-// every return, or a deferred release.
+// commit path: every value taken from a sync.Pool (x.Get()) must be
+// returned to it before the function exits — a Put preceding every return,
+// or a deferred Put.
 //
 // The analysis is per-function and source-order-based: at every return it
 // compares acquires and releases of the same pool seen earlier in the body.
@@ -22,7 +21,7 @@ import (
 // argument explicitly (which is the point: a reader should find it stated).
 var Poolpair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "sync.Pool Get (and //aickpt:acquire) needs a release on every return path",
+	Doc:  "sync.Pool Get needs a Put on every return path",
 	Run:  runPoolpair,
 }
 
@@ -33,72 +32,28 @@ type poolEvent struct {
 }
 
 func runPoolpair(pass *Pass) {
-	annotated := collectAnnotatedFuncs(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkPoolBalance(pass, fd, annotated)
+			checkPoolBalance(pass, fd)
 		}
 	}
 }
 
-// collectAnnotatedFuncs maps package functions carrying //aickpt:acquire or
-// //aickpt:release doc directives to their pool names, so calls to them
-// count as pool events at the call site.
-func collectAnnotatedFuncs(pass *Pass) map[types.Object]directive {
-	out := map[types.Object]directive{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			for _, d := range funcDirectives(fd) {
-				if (d.verb == "acquire" || d.verb == "release") && len(d.args) > 0 {
-					if obj := pass.Info.Defs[fd.Name]; obj != nil {
-						out[obj] = d
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func checkPoolBalance(pass *Pass, fd *ast.FuncDecl, annotated map[types.Object]directive) {
+func checkPoolBalance(pass *Pass, fd *ast.FuncDecl) {
 	var events []poolEvent
 	deferred := map[string]bool{}
 	var returns []token.Pos
 
+	// classify recognizes sync.Pool method calls; the pool's identity is the
+	// receiver expression's source form.
 	classify := func(call *ast.CallExpr) (poolEvent, bool) {
-		// sync.Pool method calls: the pool's identity is the receiver
-		// expression's source form.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") {
 			if tv, ok := pass.Info.Types[sel.X]; ok && isSyncPool(tv.Type) {
 				return poolEvent{pool: types.ExprString(sel.X), pos: call.Pos(), acquire: sel.Sel.Name == "Get"}, true
-			}
-		}
-		// Calls to functions annotated //aickpt:acquire / //aickpt:release.
-		var callee types.Object
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			callee = pass.Info.Uses[fun]
-		case *ast.SelectorExpr:
-			callee = selectedObject(pass, fun)
-		}
-		if d, ok := annotated[callee]; ok {
-			return poolEvent{pool: d.args[0], pos: call.Pos(), acquire: d.verb == "acquire"}, true
-		}
-		// Site-level //aickpt:acquire / //aickpt:release annotations.
-		p := pass.Fset.Position(call.Pos())
-		for _, verb := range [2]string{"acquire", "release"} {
-			for _, d := range pass.dirs.at(p.Filename, p.Line, verb) {
-				if len(d.args) > 0 {
-					return poolEvent{pool: d.args[0], pos: call.Pos(), acquire: verb == "acquire"}, true
-				}
 			}
 		}
 		return poolEvent{}, false
@@ -158,7 +113,7 @@ func checkPoolBalance(pass *Pass, fd *ast.FuncDecl, annotated map[types.Object]d
 			reported[ev.pos] = true
 			retPos := pass.Fset.Position(ret)
 			pass.Reportf(ev.pos,
-				"%s acquire is not released on the return path ending at line %d (add a Put/release, defer it, or state the handoff with //aickpt:allow poolpair)",
+				"%s acquire is not released on the return path ending at line %d (add a Put, defer it, or state the handoff with //aickpt:allow poolpair)",
 				pool, retPos.Line)
 		}
 	}

@@ -1,6 +1,5 @@
 // Package poolpairtest exercises the poolpair analyzer: leaked Gets, the
-// defer and per-branch release shapes, //aickpt:allow handoffs, and functions
-// annotated //aickpt:acquire / //aickpt:release.
+// defer and per-branch release shapes, and //aickpt:allow handoffs.
 package poolpairtest
 
 import "sync"
@@ -36,36 +35,5 @@ func balancedBranches(fail bool) int {
 
 // handsOff stages the buffer into a struct released elsewhere.
 func handsOff(h *holder) {
-	h.buf = bufPool.Get().(*[]byte) //aickpt:allow poolpair released by (*holder).drop
-}
-
-// drop is the matching release of handsOff's buffer.
-//
-//aickpt:release bufPool
-func drop(h *holder) {
-	if h.buf != nil {
-		bufPool.Put(h.buf)
-		h.buf = nil
-	}
-}
-
-// borrow is an annotated acquire wrapper: callers inherit the obligation.
-//
-//aickpt:acquire bufPool
-func borrow() *[]byte {
-	return bufPool.Get().(*[]byte) //aickpt:allow poolpair returned to the caller
-}
-
-// viaWrappers uses the annotated pair; balance holds through them.
-func viaWrappers(h *holder) int {
-	h.buf = borrow() // want `bufPool acquire is not released`
-	return len(*h.buf)
-}
-
-// viaWrappersBalanced pairs the annotated acquire with the annotated release.
-func viaWrappersBalanced(h *holder) int {
-	h.buf = borrow()
-	n := len(*h.buf)
-	drop(h)
-	return n
+	h.buf = bufPool.Get().(*[]byte) //aickpt:allow poolpair released by the holder's owner
 }

@@ -66,9 +66,6 @@ func NewLink(env sim.Env, cfg LinkConfig) *Link {
 	}
 }
 
-// Config returns the link's configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // serialize computes how long the link is occupied by a transfer of n bytes.
 func (l *Link) serialize(n int64) time.Duration {
 	secs := float64(n) / l.cfg.BytesPerSec

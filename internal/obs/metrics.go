@@ -112,12 +112,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveSince records the elapsed time from start to now (both as
-// returned by the Metrics' time source), in nanoseconds.
-func (h *Histogram) ObserveSince(start, now time.Duration) {
-	h.Observe(int64(now - start))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

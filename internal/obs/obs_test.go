@@ -94,9 +94,6 @@ func TestHistogramQuantile(t *testing.T) {
 // capacity, and Snapshot returns the newest events in sequence order.
 func TestJournalWraparound(t *testing.T) {
 	j := NewJournal(16)
-	if j.Cap() != 16 {
-		t.Fatalf("cap = %d, want 16", j.Cap())
-	}
 	const total = 100
 	for i := 0; i < total; i++ {
 		j.record(time.Duration(i), StageWrite, uint64(i), int32(i), 0, int64(i))
@@ -123,13 +120,20 @@ func TestJournalWraparound(t *testing.T) {
 }
 
 // TestJournalNonPowerOfTwoDepth: depth is rounded up to a power of two
-// (the ring mask requires it).
+// (the ring mask requires it), so an overfilled journal retains that many.
 func TestJournalNonPowerOfTwoDepth(t *testing.T) {
-	if got := NewJournal(100).Cap(); got != 128 {
-		t.Fatalf("cap = %d, want 128", got)
+	retained := func(depth int) int {
+		j := NewJournal(depth)
+		for i := 0; i < 1000; i++ {
+			j.record(time.Duration(i), StageWrite, uint64(i), int32(i), 0, int64(i))
+		}
+		return len(j.Snapshot())
 	}
-	if got := NewJournal(0).Cap(); got != 16 {
-		t.Fatalf("cap = %d, want the 16-slot minimum", got)
+	if got := retained(100); got != 128 {
+		t.Fatalf("retained %d, want 128", got)
+	}
+	if got := retained(0); got != 16 {
+		t.Fatalf("retained %d, want the 16-slot minimum", got)
 	}
 }
 

@@ -48,10 +48,8 @@ func (r *ring) init(depth int) {
 	r.mask, r.slots = uint64(n-1), make([]ringSlot, n)
 }
 
-// Cap returns the ring capacity.
-func (r *ring) Cap() int { return len(r.slots) }
-
-// Len returns the number of records currently retained (at most Cap).
+// Len returns the number of records currently retained (at most the
+// capacity).
 func (r *ring) Len() int {
 	n := r.next.Load()
 	if n > uint64(len(r.slots)) {

@@ -31,9 +31,6 @@ func TestSpanLogRecordAndSnapshot(t *testing.T) {
 
 func TestSpanLogWraparound(t *testing.T) {
 	l := NewSpanLog(16)
-	if l.Cap() != 16 {
-		t.Fatalf("cap = %d, want 16", l.Cap())
-	}
 	for i := 0; i < 40; i++ {
 		l.record(SpanCommit, uint64(i), 0, time.Duration(i), time.Duration(i+1))
 	}
@@ -54,8 +51,12 @@ func TestSpanLogDepthRounding(t *testing.T) {
 	for _, tc := range []struct{ depth, want int }{
 		{0, 16}, {1, 16}, {16, 16}, {17, 32}, {1000, 1024},
 	} {
-		if got := NewSpanLog(tc.depth).Cap(); got != tc.want {
-			t.Errorf("NewSpanLog(%d).Cap() = %d, want %d", tc.depth, got, tc.want)
+		l := NewSpanLog(tc.depth)
+		for i := 0; i < 2*tc.want; i++ {
+			l.record(SpanCommit, uint64(i), 0, time.Duration(i), time.Duration(i+1))
+		}
+		if got := len(l.Snapshot()); got != tc.want {
+			t.Errorf("NewSpanLog(%d) overfilled retains %d spans, want %d", tc.depth, got, tc.want)
 		}
 	}
 }

@@ -19,20 +19,11 @@ type Region struct {
 	freed     atomic.Bool
 }
 
-// ID returns the region's unique identifier within its space.
-func (r *Region) ID() int { return r.id }
-
 // Size returns the requested allocation size in bytes.
 func (r *Region) Size() int { return r.sizeBytes }
 
 // Pages returns the global page range [first, first+count) of the region.
 func (r *Region) Pages() (first, count int) { return r.firstPage, r.numPages }
-
-// Phantom reports whether the region has no backing bytes.
-func (r *Region) Phantom() bool { return r.data == nil }
-
-// Freed reports whether the region has been freed.
-func (r *Region) Freed() bool { return r.freed.Load() }
 
 func (r *Region) protBit(i int) bool {
 	return atomic.LoadUint32(&r.prot[i>>5])&(1<<uint(i&31)) != 0

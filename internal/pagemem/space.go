@@ -122,14 +122,6 @@ func (s *Space) lookup(page int) *Region {
 	return nil
 }
 
-// Protect write-protects a page; the next write to it faults. Protecting a
-// freed page is a no-op.
-func (s *Space) Protect(page int) {
-	if r := s.lookup(page); r != nil {
-		r.setProt(page-r.firstPage, true)
-	}
-}
-
 // Unprotect clears a page's write protection.
 func (s *Space) Unprotect(page int) {
 	if r := s.lookup(page); r != nil {
@@ -159,7 +151,7 @@ func (s *Space) PageData(page int) []byte {
 // pages are protected. CHECKPOINT uses it to re-protect the whole space at
 // epoch rotation: protection is set a whole bitmap word at a time per
 // region, and f lets the caller batch-reset its own per-page bookkeeping
-// for the same range — where a per-page Protect loop would redo the
+// for the same range — where protecting page by page would redo the
 // region lookup (lock + binary search) for every single page while the
 // application is blocked on the write gate. f may be nil.
 func (s *Space) ProtectLiveRegions(f func(first, count int)) {
@@ -172,24 +164,6 @@ func (s *Space) ProtectLiveRegions(f func(first, count int)) {
 		}
 	}
 }
-
-// ForEachLivePage calls f for every page of every live region, in global
-// page order — a general iteration helper for tools and tests. CHECKPOINT's
-// epoch rotation uses ProtectLiveRegions instead, which batches per region.
-func (s *Space) ForEachLivePage(f func(page int)) {
-	s.mu.RLock()
-	regions := make([]*Region, len(s.regions))
-	copy(regions, s.regions)
-	s.mu.RUnlock()
-	for _, r := range regions {
-		for i := 0; i < r.numPages; i++ {
-			f(r.firstPage + i)
-		}
-	}
-}
-
-// Live reports whether page belongs to a live (non-freed) region.
-func (s *Space) Live(page int) bool { return s.lookup(page) != nil }
 
 // LockWrites blocks until no page store is in flight and prevents new ones;
 // the page manager holds it while re-protecting the space at a checkpoint.

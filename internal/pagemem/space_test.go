@@ -40,7 +40,7 @@ func TestWriteFaultsOncePerPage(t *testing.T) {
 		t.Errorf("faults = %v", faults)
 	}
 	// Re-protect and write again: faults again.
-	s.Protect(0)
+	s.ProtectLiveRegions(nil)
 	r.StoreByte(3, 1)
 	if len(faults) != 4 || faults[3] != 0 {
 		t.Errorf("faults after re-protect = %v", faults)
@@ -113,11 +113,16 @@ func TestMultipleRegionsGlobalIDs(t *testing.T) {
 	if s.NumPages() != 3 {
 		t.Errorf("NumPages = %d", s.NumPages())
 	}
-	var pages []int
-	s.ForEachLivePage(func(p int) { pages = append(pages, p) })
-	if len(pages) != 3 {
-		t.Errorf("live pages = %v", pages)
+	if live := liveRanges(s); len(live) != 2 || live[0] != [2]int{0, 2} || live[1] != [2]int{2, 1} {
+		t.Errorf("live ranges = %v", live)
 	}
+}
+
+// liveRanges lists the [first, count) page ranges of s's live regions.
+func liveRanges(s *Space) [][2]int {
+	var out [][2]int
+	s.ProtectLiveRegions(func(first, count int) { out = append(out, [2]int{first, count}) })
+	return out
 }
 
 func TestFreeRemovesPages(t *testing.T) {
@@ -125,16 +130,11 @@ func TestFreeRemovesPages(t *testing.T) {
 	a := s.Alloc(64, false)
 	b := s.Alloc(64, false)
 	a.Free()
-	if s.Live(0) || !s.Live(2) {
+	if s.PageData(0) != nil || s.PageData(2) == nil {
 		t.Error("liveness wrong after free")
 	}
-	if s.PageData(0) != nil {
-		t.Error("freed page still has data")
-	}
-	var pages []int
-	s.ForEachLivePage(func(p int) { pages = append(pages, p) })
-	if len(pages) != 2 || pages[0] != 2 {
-		t.Errorf("live pages after free = %v", pages)
+	if live := liveRanges(s); len(live) != 1 || live[0] != [2]int{2, 2} {
+		t.Errorf("live ranges after free = %v", live)
 	}
 	// Page IDs are not reused.
 	c := s.Alloc(32, false)
@@ -251,8 +251,8 @@ func TestProtectLiveRegionsBatches(t *testing.T) {
 			}
 		}
 	}
-	// A batch protect is equivalent to per-page Protect: the next write to
-	// every live page faults exactly once.
+	// After a batch protect the next write to every live page faults
+	// exactly once.
 	faults := map[int]int{}
 	s.SetFaultHandler(func(p int) {
 		faults[p]++

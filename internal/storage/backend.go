@@ -7,8 +7,6 @@
 // coding in multilevel.PeerTier, fault injection in internal/faultfs.
 package storage
 
-import "sync"
-
 // Backend persists page images produced by checkpointing.
 //
 // Concurrency contract: WritePage may be called concurrently for pages of
@@ -25,8 +23,7 @@ import "sync"
 // WritePage returns, and the repository hands pooled encode buffers back
 // the same way, so a retained slice WILL be overwritten.
 //
-// Every Backend in this package and internal/ckpt honors this contract;
-// TracingStore requires it of the backend it wraps.
+// Every Backend in this package and internal/ckpt honors this contract.
 type Backend interface {
 	// WritePage persists one page image for the given epoch. size is the
 	// logical page size in bytes; data holds the image and may be nil in
@@ -55,69 +52,3 @@ func (NullStore) WritePage(epoch uint64, page int, data []byte, size int) error 
 
 // EndEpoch implements Backend.
 func (NullStore) EndEpoch(epoch uint64) error { return nil }
-
-// Commit records one page write observed by a TracingStore.
-type Commit struct {
-	Epoch uint64
-	Page  int
-	Size  int
-}
-
-// TracingStore records the exact order of page commits; tests use it to
-// assert flush-order policies. It optionally forwards to a next Backend.
-// The trace is guarded, so concurrent committer workers may share one.
-type TracingStore struct {
-	Next Backend
-
-	mu      sync.Mutex
-	commits []Commit
-	sealed  []uint64
-}
-
-// WritePage implements Backend.
-func (t *TracingStore) WritePage(epoch uint64, page int, data []byte, size int) error {
-	t.mu.Lock()
-	t.commits = append(t.commits, Commit{Epoch: epoch, Page: page, Size: size})
-	t.mu.Unlock()
-	if t.Next != nil {
-		return t.Next.WritePage(epoch, page, data, size)
-	}
-	return nil
-}
-
-// EndEpoch implements Backend.
-func (t *TracingStore) EndEpoch(epoch uint64) error {
-	t.mu.Lock()
-	t.sealed = append(t.sealed, epoch)
-	t.mu.Unlock()
-	if t.Next != nil {
-		return t.Next.EndEpoch(epoch)
-	}
-	return nil
-}
-
-// Commits returns a copy of the observed commit sequence.
-func (t *TracingStore) Commits() []Commit {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Commit, len(t.commits))
-	copy(out, t.commits)
-	return out
-}
-
-// Sealed returns the epochs sealed so far, in order.
-func (t *TracingStore) Sealed() []uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]uint64, len(t.sealed))
-	copy(out, t.sealed)
-	return out
-}
-
-// Reset clears recorded history.
-func (t *TracingStore) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.commits = nil
-	t.sealed = nil
-}

@@ -44,9 +44,6 @@ func (d *SimDisk) ReadPage(epoch uint64, page int, size int) error {
 	return nil
 }
 
-// Link exposes the underlying link for stats.
-func (d *SimDisk) Link() *netsim.Link { return d.link }
-
 // SimPFS models a PVFS-like parallel file system: a page write first
 // serializes on the writing node's NIC (shared with application traffic),
 // then on one of the storage servers, selected by striping the page index.

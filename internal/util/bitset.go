@@ -1,7 +1,6 @@
 // Package util provides small allocation-free building blocks shared by the
 // AI-Ckpt runtime and its simulation substrates: fixed-size bitsets, a
-// deterministic random number generator, online statistics and formatting
-// helpers.
+// deterministic random number generator and the page hash.
 package util
 
 import (
@@ -64,20 +63,6 @@ func (b *Bitset) Count() int {
 func (b *Bitset) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
-	}
-}
-
-// Fill adds every value in [0, Len()).
-func (b *Bitset) Fill() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	// Mask off bits past n.
-	if extra := b.n & 63; extra != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] = (1 << uint(extra)) - 1
-	}
-	if b.n == 0 && len(b.words) > 0 {
-		b.words[0] = 0
 	}
 }
 

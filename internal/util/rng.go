@@ -56,9 +56,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork returns a new RNG derived from this one; the parent stream advances
-// by one draw. Forked streams are independent for practical purposes.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
-}

@@ -81,12 +81,3 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(1)
-	f1 := parent.Fork()
-	f2 := parent.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("sibling forks produced identical first draws")
-	}
-}

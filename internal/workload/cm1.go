@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"time"
-
 	"repro/internal/pagemem"
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -27,47 +25,26 @@ type CM1 struct {
 	// fixes simulated time such that 3 checkpoints trigger).
 	Iterations      int
 	CheckpointEvery int
-	// PageCost, CostJitter, SpikeP, TouchBatch: see Synthetic.
-	PageCost   time.Duration
-	CostJitter float64
-	SpikeP     float64
-	SpikeRun   int
-	TouchBatch int
 	// HaloBytes is the border volume sent per iteration.
 	HaloBytes int64
 	// DeviationP is the fraction of hot pages touched out-of-order at the
 	// start of each iteration (boundary conditions, active microphysics
-	// cells): it varies per iteration, so the previous epoch's access
-	// history mispredicts it — real codes are not perfectly periodic.
+	// cells).
 	DeviationP float64
-	// Seed drives phase order and jitter.
-	Seed uint64
+	// Compute's Seed also draws the phase order.
+	Compute
 }
-
-// TotalPages returns the process's allocated page count.
-func (c CM1) TotalPages() int {
-	return c.WriteArrays*c.WritePages + c.ColdArrays*c.ColdPages
-}
-
-// TouchedPages returns the pages dirtied per epoch once warmed up.
-func (c CM1) TouchedPages() int { return c.WriteArrays * c.WritePages }
 
 // CM1Proc is an instantiated CM1 process: its protected arrays plus hooks
-// into the deployment (exchange, barrier, checkpoint).
+// into the deployment.
 type CM1Proc struct {
+	Hooks
 	cfg   CM1
 	hot   []*pagemem.Region
 	cold  []*pagemem.Region
 	order []int // phase order over hot arrays
 	t     *toucher
 	env   sim.Env
-
-	// Exchange sends the halo (nil to skip).
-	Exchange func(bytes int64)
-	// Barrier synchronizes with the other processes (nil to skip).
-	Barrier func()
-	// Checkpoint triggers a checkpoint (nil for baseline runs).
-	Checkpoint func()
 }
 
 // NewCM1Proc allocates the process's arrays in space (transparent capture:
@@ -85,56 +62,28 @@ func NewCM1Proc(env sim.Env, space *pagemem.Space, cfg CM1) *CM1Proc {
 	// allocation order (advection, pressure, turbulence, microphysics...):
 	// this is what an address-ordered flush cannot predict.
 	p.order = util.NewRNG(cfg.Seed ^ 0xc31).Perm(cfg.WriteArrays)
-	p.t = newToucher(env, cfg.WritePages, cfg.PageCost, cfg.CostJitter, cfg.SpikeP, cfg.SpikeRun, cfg.TouchBatch, cfg.Seed)
+	p.t = cfg.toucher(env, cfg.WritePages)
 	return p
 }
 
 // Run executes the process until completion.
 func (p *CM1Proc) Run() {
-	// Initialization: write every array once (cold ones included).
-	for _, r := range p.hot {
-		for i := 0; i < p.cfg.WritePages; i++ {
-			r.Touch(i)
-		}
-	}
-	for _, r := range p.cold {
-		for i := 0; i < p.cfg.ColdPages; i++ {
-			r.Touch(i)
-		}
-	}
-	p.env.Sleep(p.cfg.PageCost * time.Duration(p.cfg.TotalPages()))
-
+	initialize(p.env, p.cfg.PageCost, p.hot, p.cold)
 	for it := 1; it <= p.cfg.Iterations; it++ {
-		// Irregular pre-pass: iteration-dependent cells updated before
-		// the regular sweeps.
-		if p.cfg.DeviationP > 0 {
-			rng := util.NewRNG(p.cfg.Seed ^ (uint64(it) * 0x9e3779b9))
-			n := int(p.cfg.DeviationP * float64(p.cfg.WriteArrays*p.cfg.WritePages))
-			for j := 0; j < n; j++ {
-				p.t.touch(p.hot[rng.Intn(len(p.hot))], rng.Intn(p.cfg.WritePages))
-			}
-		}
+		p.t.deviate(p.cfg.DeviationP, p.cfg.Seed^(uint64(it)*0x9e3779b9), p.hot, p.cfg.WritePages)
 		// Compute phase: rewrite each prognostic array, sweeping it in
 		// ascending order, arrays in physics-phase order.
 		for _, a := range p.order {
-			r := p.hot[a]
 			for i := 0; i < p.cfg.WritePages; i++ {
-				p.t.touch(r, i)
+				p.t.touch(p.hot[a], i)
 			}
 		}
 		p.t.flush()
 		// Border exchange and synchronization.
-		if p.Exchange != nil && p.cfg.HaloBytes > 0 {
-			p.Exchange(p.cfg.HaloBytes)
-		}
-		if p.Barrier != nil {
-			p.Barrier()
-		}
-		if p.Checkpoint != nil && p.cfg.CheckpointEvery > 0 && it%p.cfg.CheckpointEvery == 0 {
-			p.Checkpoint()
-			if p.Barrier != nil {
-				p.Barrier() // the paper: checkpoint, then barrier, then resume
-			}
+		p.exchange(p.cfg.HaloBytes)
+		p.barrier()
+		if p.cfg.CheckpointEvery > 0 && it%p.cfg.CheckpointEvery == 0 {
+			p.checkpoint()
 		}
 	}
 }

@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"time"
-
 	"repro/internal/pagemem"
 	"repro/internal/sim"
-	"repro/internal/util"
 )
 
 // MILC models one MPI process of the MIMD Lattice Computation benchmark
@@ -31,35 +28,22 @@ type MILC struct {
 	// Trajectories is the number of trajectories (3 in the paper, one
 	// checkpoint each).
 	Trajectories int
-	// PageCost, CostJitter, SpikeP, TouchBatch: see Synthetic.
-	PageCost   time.Duration
-	CostJitter float64
-	SpikeP     float64
-	SpikeRun   int
-	TouchBatch int
 	// HaloBytes is the nearest-neighbor exchange volume per sweep.
 	HaloBytes int64
 	// DeviationP is the fraction of pages touched out-of-order at the
 	// start of each sweep (accept/reject and measurement phases vary
 	// between trajectories).
 	DeviationP float64
-	// Seed drives cost jitter.
-	Seed uint64
+	Compute
 }
-
-// TotalPages returns the process's allocated page count.
-func (m MILC) TotalPages() int { return m.Arrays * m.PagesPer }
 
 // MILCProc is an instantiated MILC process.
 type MILCProc struct {
+	Hooks
 	cfg    MILC
 	arrays []*pagemem.Region
 	t      *toucher
 	env    sim.Env
-
-	Exchange   func(bytes int64)
-	Barrier    func()
-	Checkpoint func()
 }
 
 // NewMILCProc allocates the lattice arrays (transparent capture).
@@ -68,7 +52,7 @@ func NewMILCProc(env sim.Env, space *pagemem.Space, cfg MILC) *MILCProc {
 	for i := 0; i < cfg.Arrays; i++ {
 		p.arrays = append(p.arrays, space.Alloc(cfg.PagesPer*space.PageSize(), true))
 	}
-	p.t = newToucher(env, cfg.PagesPer, cfg.PageCost, cfg.CostJitter, cfg.SpikeP, cfg.SpikeRun, cfg.TouchBatch, cfg.Seed)
+	p.t = cfg.toucher(env, cfg.PagesPer)
 	return p
 }
 
@@ -76,13 +60,7 @@ func NewMILCProc(env sim.Env, space *pagemem.Space, cfg MILC) *MILCProc {
 // phase (mod SweepsPerTrajectory) are rewritten in even/odd checkerboard
 // order. Over one trajectory every array is rewritten exactly once.
 func (p *MILCProc) sweep(sweepID uint64, phase int) {
-	if p.cfg.DeviationP > 0 {
-		rng := util.NewRNG(p.cfg.Seed ^ (sweepID * 0x517cc1b7))
-		n := int(p.cfg.DeviationP * float64(p.cfg.Arrays*p.cfg.PagesPer))
-		for j := 0; j < n; j++ {
-			p.t.touch(p.arrays[rng.Intn(len(p.arrays))], rng.Intn(p.cfg.PagesPer))
-		}
-	}
+	p.t.deviate(p.cfg.DeviationP, p.cfg.Seed^(sweepID*0x517cc1b7), p.arrays, p.cfg.PagesPer)
 	for half := 0; half < 2; half++ {
 		for a, r := range p.arrays {
 			if a%p.cfg.SweepsPerTrajectory != phase {
@@ -94,32 +72,17 @@ func (p *MILCProc) sweep(sweepID uint64, phase int) {
 		}
 	}
 	p.t.flush()
-	if p.Exchange != nil && p.cfg.HaloBytes > 0 {
-		p.Exchange(p.cfg.HaloBytes)
-	}
-	if p.Barrier != nil {
-		p.Barrier()
-	}
+	p.exchange(p.cfg.HaloBytes)
+	p.barrier()
 }
 
 // Run executes all trajectories.
 func (p *MILCProc) Run() {
-	// Initial configuration: touch everything once.
-	for _, r := range p.arrays {
-		for i := 0; i < p.cfg.PagesPer; i++ {
-			r.Touch(i)
-		}
-	}
-	p.env.Sleep(p.cfg.PageCost * time.Duration(p.cfg.TotalPages()))
+	initialize(p.env, p.cfg.PageCost, p.arrays)
 	for tr := 0; tr < p.cfg.Trajectories; tr++ {
 		for s := 0; s < p.cfg.SweepsPerTrajectory; s++ {
 			p.sweep(uint64(tr*p.cfg.SweepsPerTrajectory+s+1), s)
 		}
-		if p.Checkpoint != nil {
-			p.Checkpoint()
-			if p.Barrier != nil {
-				p.Barrier()
-			}
-		}
+		p.checkpoint()
 	}
 }

@@ -15,6 +15,54 @@ import (
 	"repro/internal/util"
 )
 
+// Compute is the per-page compute model every workload shares.
+type Compute struct {
+	// PageCost is the mean compute time to transform one page.
+	PageCost time.Duration
+	// CostJitter is the relative spread of per-page cost (0.3 = +-30%).
+	CostJitter float64
+	// SpikeP is the fraction of the sweep inside slow stretches costing 4x.
+	SpikeP float64
+	// SpikeRun is the length in pages of each slow stretch (default 64).
+	SpikeRun int
+	// TouchBatch groups page touches per simulated time advance (default
+	// 32).
+	TouchBatch int
+	// Seed drives the cost jitter and every other draw of the workload.
+	Seed uint64
+}
+
+// Hooks connect one process to its deployment; a nil hook is skipped.
+type Hooks struct {
+	// Exchange sends a halo of the given size to the neighbors.
+	Exchange func(bytes int64)
+	// Barrier synchronizes with the other processes.
+	Barrier func()
+	// Checkpoint triggers a checkpoint (nil for baseline runs).
+	Checkpoint func()
+}
+
+func (h *Hooks) exchange(bytes int64) {
+	if h.Exchange != nil && bytes > 0 {
+		h.Exchange(bytes)
+	}
+}
+
+func (h *Hooks) barrier() {
+	if h.Barrier != nil {
+		h.Barrier()
+	}
+}
+
+// checkpoint follows the paper's protocol: checkpoint, then barrier, then
+// resume.
+func (h *Hooks) checkpoint() {
+	if h.Checkpoint != nil {
+		h.Checkpoint()
+		h.barrier()
+	}
+}
+
 // toucher walks pages of a region, charging per-page compute cost in
 // batches so virtual time advances between groups of writes without paying
 // one kernel event per page. Costs are indexed by traversal position (not
@@ -30,30 +78,31 @@ type toucher struct {
 	cnt   int
 }
 
-// newToucher precomputes per-page costs: pageCost +- jitter (uniform in
-// [1-jitter, 1+jitter]), plus slow stretches — runs of spikeRun consecutive
-// pages costing 4x, covering a spikeP fraction of the region — which model
-// the cache/TLB-unfriendly phases real sweeps exhibit. During a slow
-// stretch the flusher overtakes the application, which is where AVOIDED
-// accesses come from. Costs are deterministic in the seed.
-func newToucher(env sim.Env, pages int, pageCost time.Duration, jitter, spikeP float64, spikeRun, batch int, seed uint64) *toucher {
+// toucher precomputes the costs of a sweep over pages: PageCost +- jitter
+// (uniform in [1-jitter, 1+jitter]), plus slow stretches — runs of SpikeRun
+// consecutive pages costing 4x, covering a SpikeP fraction of the sweep —
+// which model the cache/TLB-unfriendly phases real sweeps exhibit. During a
+// slow stretch the flusher overtakes the application, which is where
+// AVOIDED accesses come from. Costs are deterministic in the seed.
+func (c Compute) toucher(env sim.Env, pages int) *toucher {
+	batch, spikeRun := c.TouchBatch, c.SpikeRun
 	if batch <= 0 {
 		batch = 32
 	}
 	if spikeRun <= 0 {
 		spikeRun = 64
 	}
-	rng := util.NewRNG(seed)
+	rng := util.NewRNG(c.Seed)
 	costs := make([]time.Duration, pages)
 	for i := range costs {
 		f := 1.0
-		if jitter > 0 {
-			f += jitter * (2*rng.Float64() - 1)
+		if c.CostJitter > 0 {
+			f += c.CostJitter * (2*rng.Float64() - 1)
 		}
-		costs[i] = time.Duration(float64(pageCost) * f)
+		costs[i] = time.Duration(float64(c.PageCost) * f)
 	}
-	if spikeP > 0 {
-		runs := int(spikeP * float64(pages) / float64(spikeRun))
+	if c.SpikeP > 0 {
+		runs := int(c.SpikeP * float64(pages) / float64(spikeRun))
 		if runs < 1 {
 			runs = 1
 		}
@@ -85,6 +134,34 @@ func (t *toucher) flush() {
 		t.env.Sleep(t.acc)
 	}
 	t.acc, t.cnt = 0, 0
+}
+
+// deviate is the irregular pre-pass before a regular sweep: a p fraction of
+// the pages of regions (pages each), touched in an order drawn from seed.
+// It varies from sweep to sweep, so the previous epoch's access history
+// mispredicts it — real codes are not perfectly periodic.
+func (t *toucher) deviate(p float64, seed uint64, regions []*pagemem.Region, pages int) {
+	rng := util.NewRNG(seed)
+	n := int(p * float64(len(regions)*pages))
+	for j := 0; j < n; j++ {
+		t.touch(regions[rng.Intn(len(regions))], rng.Intn(pages))
+	}
+}
+
+// initialize is the application's startup: every page of every region is
+// written once, and the compute for all of them is charged in one advance.
+func initialize(env sim.Env, pageCost time.Duration, groups ...[]*pagemem.Region) {
+	total := 0
+	for _, regions := range groups {
+		for _, r := range regions {
+			_, n := r.Pages()
+			for i := 0; i < n; i++ {
+				r.Touch(i)
+			}
+			total += n
+		}
+	}
+	env.Sleep(pageCost * time.Duration(total))
 }
 
 // Pattern is the synthetic benchmark's page access order.
@@ -125,20 +202,9 @@ type Synthetic struct {
 	// CheckpointEvery triggers a checkpoint after every N-th iteration
 	// (10 in the paper, for 3 checkpoints).
 	CheckpointEvery int
-	// Pattern is the access order.
+	// Pattern is the access order; Seed draws the Random permutation.
 	Pattern Pattern
-	// PageCost is the mean compute time to transform one page.
-	PageCost time.Duration
-	// CostJitter is the relative spread of per-page cost (0.3 = +-30%).
-	CostJitter float64
-	// SpikeP is the probability a page costs 4x (slow stretches).
-	SpikeP float64
-	// SpikeRun is the length in pages of each slow stretch (default 64).
-	SpikeRun int
-	// TouchBatch groups page touches per simulated time advance.
-	TouchBatch int
-	// Seed drives the permutation and the cost jitter.
-	Seed uint64
+	Compute
 }
 
 // Order returns the per-iteration page visit order.
@@ -159,18 +225,31 @@ func (s Synthetic) Order() []int {
 	return order
 }
 
-// Run executes the benchmark inside an env process. checkpoint is called at
-// checkpoint boundaries and may be nil (baseline run without checkpointing).
-func (s Synthetic) Run(env sim.Env, r *pagemem.Region, checkpoint func()) {
-	order := s.Order()
-	t := newToucher(env, s.Pages, s.PageCost, s.CostJitter, s.SpikeP, s.SpikeRun, s.TouchBatch, s.Seed)
-	for it := 1; it <= s.Iterations; it++ {
-		for _, p := range order {
-			t.touch(r, p)
+// SyntheticProc is an instantiated synthetic benchmark: its protected
+// region plus hooks into the deployment.
+type SyntheticProc struct {
+	Hooks
+	cfg    Synthetic
+	region *pagemem.Region
+	env    sim.Env
+}
+
+// NewSyntheticProc allocates the benchmark's region in space.
+func NewSyntheticProc(env sim.Env, space *pagemem.Space, cfg Synthetic) *SyntheticProc {
+	return &SyntheticProc{cfg: cfg, env: env, region: space.Alloc(cfg.Pages*space.PageSize(), true)}
+}
+
+// Run executes the benchmark until completion.
+func (p *SyntheticProc) Run() {
+	order := p.cfg.Order()
+	t := p.cfg.toucher(p.env, p.cfg.Pages)
+	for it := 1; it <= p.cfg.Iterations; it++ {
+		for _, page := range order {
+			t.touch(p.region, page)
 		}
 		t.flush()
-		if checkpoint != nil && s.CheckpointEvery > 0 && it%s.CheckpointEvery == 0 {
-			checkpoint()
+		if p.cfg.CheckpointEvery > 0 && it%p.cfg.CheckpointEvery == 0 {
+			p.checkpoint()
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSyntheticOrders(t *testing.T) {
-	s := Synthetic{Pages: 8, Pattern: Ascending, Seed: 1}
+	s := Synthetic{Pages: 8, Pattern: Ascending, Compute: Compute{Seed: 1}}
 	asc := s.Order()
 	for i, p := range asc {
 		if p != i {
@@ -41,24 +41,24 @@ func TestSyntheticOrders(t *testing.T) {
 func TestSyntheticRunTouchesEverythingEachIteration(t *testing.T) {
 	k := sim.NewKernel()
 	space := pagemem.NewSpace(4096)
-	region := space.Alloc(16*4096, true)
+	proc := NewSyntheticProc(k, space, Synthetic{
+		Pages: 16, Iterations: 6, CheckpointEvery: 2, Pattern: Random,
+		Compute: Compute{PageCost: time.Microsecond, TouchBatch: 4, Seed: 3},
+	})
 	faults := 0
 	space.SetFaultHandler(func(p int) {
 		faults++
 		space.Unprotect(p)
 	})
 	ckpts := 0
-	s := Synthetic{
-		Pages: 16, Iterations: 6, CheckpointEvery: 2, Pattern: Random,
-		PageCost: time.Microsecond, TouchBatch: 4, Seed: 3,
+	proc.Checkpoint = func() {
+		ckpts++
+		// Re-protect everything, as a manager's Checkpoint would.
+		space.ProtectLiveRegions(nil)
 	}
 	var runtime time.Duration
 	k.Go("bench", func() {
-		s.Run(k, region, func() {
-			ckpts++
-			// Re-protect everything, as a manager's Checkpoint would.
-			space.ForEachLivePage(space.Protect)
-		})
+		proc.Run()
 		runtime = k.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -79,17 +79,18 @@ func TestSyntheticRunTouchesEverythingEachIteration(t *testing.T) {
 
 func TestToucherCostsDeterministic(t *testing.T) {
 	k := sim.NewKernel()
-	a := newToucher(k, 128, time.Microsecond, 0.3, 0.1, 16, 8, 5)
-	b := newToucher(k, 128, time.Microsecond, 0.3, 0.1, 16, 8, 5)
+	c := Compute{PageCost: time.Microsecond, CostJitter: 0.3, SpikeP: 0.1, SpikeRun: 16, TouchBatch: 8, Seed: 5}
+	a, b := c.toucher(k, 128), c.toucher(k, 128)
 	for i := range a.costs {
 		if a.costs[i] != b.costs[i] {
 			t.Fatal("costs differ for identical seeds")
 		}
 	}
-	c := newToucher(k, 128, time.Microsecond, 0.3, 0.1, 16, 8, 6)
+	c.Seed = 6
+	other := c.toucher(k, 128)
 	same := 0
 	for i := range a.costs {
-		if a.costs[i] == c.costs[i] {
+		if a.costs[i] == other.costs[i] {
 			same++
 		}
 	}
@@ -104,12 +105,9 @@ func TestCM1ProcDirtiesHotArraysOnly(t *testing.T) {
 	cfg := CM1{
 		WriteArrays: 3, WritePages: 4, ColdArrays: 2, ColdPages: 4,
 		Iterations: 4, CheckpointEvery: 2,
-		PageCost: time.Microsecond, TouchBatch: 4, Seed: 9,
+		Compute: Compute{PageCost: time.Microsecond, TouchBatch: 4, Seed: 9},
 	}
 	proc := NewCM1Proc(k, space, cfg)
-	if cfg.TotalPages() != 20 || cfg.TouchedPages() != 12 {
-		t.Fatalf("TotalPages=%d TouchedPages=%d", cfg.TotalPages(), cfg.TouchedPages())
-	}
 	dirtyPerEpoch := []int{}
 	dirty := map[int]bool{}
 	space.SetFaultHandler(func(p int) {
@@ -119,7 +117,7 @@ func TestCM1ProcDirtiesHotArraysOnly(t *testing.T) {
 	proc.Checkpoint = func() {
 		dirtyPerEpoch = append(dirtyPerEpoch, len(dirty))
 		dirty = map[int]bool{}
-		space.ForEachLivePage(space.Protect)
+		space.ProtectLiveRegions(nil)
 	}
 	k.Go("cm1", proc.Run)
 	if err := k.Run(); err != nil {
@@ -143,7 +141,7 @@ func TestMILCProcCoversAllArraysPerTrajectory(t *testing.T) {
 	space := pagemem.NewSpace(4096)
 	cfg := MILC{
 		Arrays: 5, PagesPer: 8, SweepsPerTrajectory: 3, Trajectories: 2,
-		PageCost: time.Microsecond, TouchBatch: 4, Seed: 4,
+		Compute: Compute{PageCost: time.Microsecond, TouchBatch: 4, Seed: 4},
 	}
 	proc := NewMILCProc(k, space, cfg)
 	dirty := map[int]bool{}
@@ -155,7 +153,7 @@ func TestMILCProcCoversAllArraysPerTrajectory(t *testing.T) {
 	proc.Checkpoint = func() {
 		perTrajectory = append(perTrajectory, len(dirty))
 		dirty = map[int]bool{}
-		space.ForEachLivePage(space.Protect)
+		space.ProtectLiveRegions(nil)
 	}
 	k.Go("milc", proc.Run)
 	if err := k.Run(); err != nil {
@@ -165,8 +163,8 @@ func TestMILCProcCoversAllArraysPerTrajectory(t *testing.T) {
 		t.Fatalf("trajectories = %d", len(perTrajectory))
 	}
 	for i, n := range perTrajectory {
-		if n != cfg.TotalPages() {
-			t.Errorf("trajectory %d dirtied %d pages, want %d (full lattice)", i, n, cfg.TotalPages())
+		if n != 40 {
+			t.Errorf("trajectory %d dirtied %d pages, want 40 (full lattice)", i, n)
 		}
 	}
 }
@@ -176,7 +174,7 @@ func TestMILCEvenOddOrder(t *testing.T) {
 	space := pagemem.NewSpace(4096)
 	cfg := MILC{
 		Arrays: 1, PagesPer: 8, SweepsPerTrajectory: 1, Trajectories: 1,
-		PageCost: time.Microsecond, TouchBatch: 1, Seed: 4,
+		Compute: Compute{PageCost: time.Microsecond, TouchBatch: 1, Seed: 4},
 	}
 	proc := NewMILCProc(k, space, cfg)
 	var order []int
@@ -189,7 +187,7 @@ func TestMILCEvenOddOrder(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			space.Unprotect(i)
 		}
-		space.ForEachLivePage(space.Protect)
+		space.ProtectLiveRegions(nil)
 		order = nil
 		proc.sweep(1, 0)
 	})
