@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -591,50 +592,144 @@ func TestRestartSkipsEpochsHeldByDurableLowerTier(t *testing.T) {
 	}
 }
 
-// TestDegradedPeerStoreRecordedInManifest drains to a peer tier with one
-// target node already down: the copy is still recoverable (m=1 budget
-// spent) but the manifest must say "degraded", not "stored".
+// TestDegradedPeerStoreRecordedInManifest drains to an RS(2+1) peer tier
+// with its targets impaired before the store. One node down or one receive
+// link partitioned spends the m=1 budget: the copy is still recoverable, but
+// the manifest must say "degraded", not "stored", and Has must be false so
+// the drainer repairs it. Two nodes down exceed the budget and fail the
+// store.
 func TestDegradedPeerStoreRecordedInManifest(t *testing.T) {
-	env := sim.NewRealEnv()
-	nodes := make([]*PeerNode, 3)
-	for i := range nodes {
-		nodes[i] = NewPeerNode(fmt.Sprintf("peer%d", i), nil)
+	for _, tc := range []struct {
+		name    string
+		impair  func(nodes []*PeerNode, nics []*netsim.Link)
+		wantErr string // empty: the store degrades instead of failing
+	}{
+		{"node down", func(nodes []*PeerNode, _ []*netsim.Link) { nodes[1].Fail() }, ""},
+		{"receive link down", func(_ []*PeerNode, nics []*netsim.Link) { nics[1].Fail() }, ""},
+		{"m+1 nodes down", func(nodes []*PeerNode, _ []*netsim.Link) { nodes[0].Fail(); nodes[1].Fail() }, "would be unrecoverable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewRealEnv()
+			nodes := make([]*PeerNode, 3)
+			nics := make([]*netsim.Link, len(nodes))
+			for i := range nodes {
+				name := fmt.Sprintf("peer%d", i)
+				nics[i] = netsim.NewLink(env, netsim.LinkConfig{Name: name + "-nic", BytesPerSec: 1e12})
+				nodes[i] = NewPeerNode(name, nics[i])
+			}
+			peer, err := NewPeerTier("peer", 2, 1, nodes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := New(Config{
+				Env: env, PageSize: pageSize, Local: NewLocalTier(env, "local", &ckpt.MemFS{}, pageSize, nil),
+				Lower: []Tier{peer}, Drain: DrainPolicy{MaxAttempts: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.impair(nodes, nics)
+			data := pageFill(0, 4)
+			if err := h.WritePage(1, 0, data, len(data)); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.EndEpoch(1); err != nil {
+				t.Fatal(err)
+			}
+			h.WaitDrained()
+			closeErr := h.Close()
+			if peer.Has(1) {
+				t.Error("impaired epoch reported as held (would never be repaired)")
+			}
+			tier := h.Manifests()[0].Tiers[1]
+			if tc.wantErr != "" {
+				if closeErr == nil || !strings.Contains(closeErr.Error(), tc.wantErr) {
+					t.Errorf("Close: %v, want an error with %q", closeErr, tc.wantErr)
+				}
+				if tier.State != StateFailed || !strings.Contains(tier.Err, tc.wantErr) {
+					t.Errorf("peer state %q err %q, want %q with %q", tier.State, tier.Err, StateFailed, tc.wantErr)
+				}
+				return
+			}
+			if closeErr != nil {
+				t.Fatal(closeErr)
+			}
+			if tier.State != StateDegraded {
+				t.Errorf("peer state %q, want %q", tier.State, StateDegraded)
+			}
+			if err := h.Local().Wipe(); err != nil {
+				t.Fatal(err)
+			}
+			im, _, err := h.Restore()
+			if err != nil {
+				t.Fatalf("degraded copy should still restore: %v", err)
+			}
+			if !bytes.Equal(im.PageOr(0), data) {
+				t.Error("degraded restore corrupt")
+			}
+		})
 	}
-	peer, err := NewPeerTier("peer", 2, 1, nodes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(Config{Env: env, PageSize: pageSize, Local: NewLocalTier(env, "local", &ckpt.MemFS{}, pageSize, nil), Lower: []Tier{peer}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[1].Fail()
-	data := pageFill(0, 4)
-	if err := h.WritePage(1, 0, data, len(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.EndEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-	h.WaitDrained()
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.Manifests()[0].Tiers[1].State; st != StateDegraded {
-		t.Errorf("peer state %q, want %q", st, StateDegraded)
-	}
-	if peer.Has(1) {
-		t.Error("degraded epoch reported as held (would never be repaired)")
-	}
-	if err := h.Local().Wipe(); err != nil {
-		t.Fatal(err)
-	}
-	im, _, err := h.Restore()
-	if err != nil {
-		t.Fatalf("degraded copy should still restore: %v", err)
-	}
-	if !bytes.Equal(im.PageOr(0), data) {
-		t.Error("degraded restore corrupt")
+}
+
+// TestPeerTierShipsOneShardPerNode stores one epoch and checks the peer
+// tier codes it as a single stripe: the sender link carries exactly one
+// shard per target node, no more bytes than coding each page on its own
+// would, and after losing m nodes every page comes back bit-identical in
+// its own allocation.
+func TestPeerTierShipsOneShardPerNode(t *testing.T) {
+	const size, n = 4096, 37
+	for _, rs := range []struct{ k, m int }{{2, 1}, {3, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("RS(%d+%d)", rs.k, rs.m), func(t *testing.T) {
+			env := sim.NewRealEnv()
+			link := func(name string) *netsim.Link {
+				return netsim.NewLink(env, netsim.LinkConfig{Name: name, BytesPerSec: 1e12})
+			}
+			nodes := make([]*PeerNode, rs.k+rs.m)
+			for i := range nodes {
+				nodes[i] = NewPeerNode(fmt.Sprintf("peer%d", i), link(fmt.Sprintf("peer%d-nic", i)))
+			}
+			sender := link("sender")
+			peer, err := NewPeerTier("peer", rs.k, rs.m, nodes, sender)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages := ckpt.NewPageSet(n)
+			for p := 0; p < n; p++ {
+				data := make([]byte, size)
+				for i := range data {
+					data[i] = byte(p*131 + i*7)
+				}
+				pages.Append(3*p, data)
+			}
+			if err := peer.Store(&EpochData{Epoch: 5, PageSize: size, Pages: pages}); err != nil {
+				t.Fatal(err)
+			}
+			width := int64(rs.k + rs.m)
+			shard := int64((n*size + rs.k - 1) / rs.k)
+			perPage := int64(n) * width * int64((size+rs.k-1)/rs.k)
+			st := sender.Stats()
+			if st.Messages != width {
+				t.Errorf("sender carried %d messages, want one per node (%d)", st.Messages, width)
+			}
+			if st.Bytes != width*shard || st.Bytes > perPage {
+				t.Errorf("sender carried %d bytes, want %d (per-page coding: %d)", st.Bytes, width*shard, perPage)
+			}
+			for i := 0; i < rs.m; i++ {
+				nodes[i].Fail()
+			}
+			got, err := peer.Load(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PageSize != size || !got.Pages.Equal(&pages) {
+				t.Fatalf("reconstructed epoch differs (page size %d)", got.PageSize)
+			}
+			for id, data := range got.Pages.All() {
+				if cap(data) != len(data) {
+					t.Fatalf("page %d: cap %d != len %d, shares the decoded stripe", id, cap(data), len(data))
+				}
+			}
+		})
 	}
 }
 
@@ -689,9 +784,9 @@ func TestHierarchyUnderRealClock(t *testing.T) {
 }
 
 // BenchmarkPeerTierLoad measures the k-of-n reconstruction of one epoch
-// with two peers down, from an epoch barely past the serial floor to a
-// full-sized one: 4 KiB pages over RS(4+2), no link model, so the decode
-// pool is all that is timed.
+// with two peers down, from a few pages to a full-sized epoch: 4 KiB pages
+// over RS(4+2), no link model, so the decode and the page copies are all
+// that is timed.
 func BenchmarkPeerTierLoad(b *testing.B) {
 	const size = 4096
 	for _, n := range []int{8, 32, 63, 512} {

@@ -1,8 +1,8 @@
 package multilevel
 
 import (
+	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -10,29 +10,24 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/erasure"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
-// minDecodeChunk is the fewest pages one reconstruction task covers: below
-// it, claiming a task costs more than decoding its pages.
-const minDecodeChunk = 8
-
-// PeerNode is one remote node of the peer tier. It holds erasure shards in
-// its memory (modeling a partner node's ramdisk) and may be backed by a
-// netsim link so shard traffic contends with the node's other traffic in
-// virtual time.
+// PeerNode is one remote node of the peer tier. It holds one erasure shard
+// per epoch in its memory (modeling a partner node's ramdisk) and may be
+// backed by a netsim link so shard traffic contends with the node's other
+// traffic in virtual time.
 type PeerNode struct {
 	name string
 	nic  *netsim.Link // optional receive link
 
 	mu     sync.Mutex
-	down   bool                      //aickpt:guardedby mu
-	shards map[uint64]map[int][]byte //aickpt:guardedby mu (epoch -> page -> shard)
+	down   bool              //aickpt:guardedby mu
+	shards map[uint64][]byte //aickpt:guardedby mu (epoch -> shard)
 }
 
 // NewPeerNode returns a node named name; nic may be nil (no cost modeling).
 func NewPeerNode(name string, nic *netsim.Link) *PeerNode {
-	return &PeerNode{name: name, nic: nic, shards: map[uint64]map[int][]byte{}}
+	return &PeerNode{name: name, nic: nic, shards: map[uint64][]byte{}}
 }
 
 // Name returns the node's name.
@@ -46,14 +41,6 @@ func (n *PeerNode) Fail() {
 	n.mu.Unlock()
 }
 
-// Recover brings a failed node back empty (its shard memory is gone).
-func (n *PeerNode) Recover() {
-	n.mu.Lock()
-	n.down = false
-	n.shards = map[uint64]map[int][]byte{}
-	n.mu.Unlock()
-}
-
 // Down reports whether the node is failed.
 func (n *PeerNode) Down() bool {
 	n.mu.Lock()
@@ -61,48 +48,46 @@ func (n *PeerNode) Down() bool {
 	return n.down
 }
 
-// put stores one shard; it reports false when the node is down.
-func (n *PeerNode) put(epoch uint64, page int, shard []byte) bool {
+// put stores an epoch's shard; it reports false when the node is down.
+func (n *PeerNode) put(epoch uint64, shard []byte) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return false
 	}
-	eps, ok := n.shards[epoch]
-	if !ok {
-		eps = map[int][]byte{}
-		n.shards[epoch] = eps
-	}
-	eps[page] = shard
+	n.shards[epoch] = shard
 	return true
 }
 
-// get reads one shard back, or nil when the node is down or never got it.
-func (n *PeerNode) get(epoch uint64, page int) []byte {
+// get reads an epoch's shard back, or nil when the node is down or never
+// got it.
+func (n *PeerNode) get(epoch uint64) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return nil
 	}
-	return n.shards[epoch][page]
+	return n.shards[epoch]
 }
 
 // peerEpochMeta is the tier's record of one stored epoch: the shard
-// rotation start and each page's original length (needed to trim the
-// zero-padded reconstruction). It models metadata replicated on the peers
+// rotation start, the page size and each page's original length (where it
+// sits in the coded stripe). It models metadata replicated on the peers
 // themselves, so it survives loss of the local tier.
 type peerEpochMeta struct {
 	start    int
+	pageSize int
 	ids      []int // ascending, as Store received them
 	sizes    []int // sizes[j] is the length of page ids[j]
 	degraded bool  // some target nodes never received their shards
 }
 
-// PeerTier erasure-codes each page into k data + m parity shards and
-// spreads them over k+m peer nodes, rotating the starting node per epoch
-// for balance. Any k surviving shards reconstruct every page, so the tier
-// tolerates up to m simultaneous node failures — the cost-effective
-// alternative to replication (paper §3.2 ref [18], VELOC's partner tier).
+// PeerTier erasure-codes each epoch, its pages laid end to end in page
+// order, into k data + m parity shards and sends one shard to each of k+m
+// peer nodes, rotating the starting node per epoch for balance. Any k
+// surviving shards reconstruct the epoch, so the tier tolerates up to m
+// simultaneous node failures — the cost-effective alternative to
+// replication (paper §3.2 ref [18], VELOC's partner tier).
 type PeerTier struct {
 	name   string
 	coder  *erasure.Coder
@@ -144,54 +129,51 @@ func (t *PeerTier) node(start, i int) *PeerNode {
 
 // Store implements Tier. Shards destined for failed nodes are dropped; the
 // store still succeeds (degraded) as long as at most m of the epoch's
-// target nodes end up without a complete shard set, since any k shards
-// reconstruct the data. Nodes that fail mid-store count against that
-// budget too — a shard set with holes is as lost as a dead node.
+// target nodes end up without their shard, since any k shards reconstruct
+// the data. Nodes that fail mid-store count against that budget too.
 func (t *PeerTier) Store(ep *EpochData) error {
 	start := int(ep.Epoch) % len(t.nodes)
-	failed := map[int]bool{} // shard slot -> node lost at least one shard
+	down := 0
 	for i := 0; i < t.width(); i++ {
 		if t.node(start, i).Down() {
-			failed[i] = true
+			down++
 		}
 	}
-	if len(failed) > t.coder.M() {
+	if down > t.coder.M() {
 		return fmt.Errorf("multilevel: peer tier %s: %d of %d target nodes down, epoch %d would be unrecoverable",
-			t.name, len(failed), t.width(), ep.Epoch)
+			t.name, down, t.width(), ep.Epoch)
 	}
 	sizes := make([]int, 0, ep.Pages.Len())
-	for id, data := range ep.Pages.All() {
-		shards := t.coder.Encode(data)
-		for i, shard := range shards {
-			n := t.node(start, i)
-			if failed[i] || n.Down() {
-				failed[i] = true
-				continue
-			}
-			// The sender link is the checkpointing node's own NIC: with it
-			// down no shard can leave the node, so the whole store fails
-			// (retryably) rather than degrading.
-			if t.sender != nil && !t.sender.TryTransfer(int64(len(shard))) {
-				return fmt.Errorf("multilevel: peer tier %s: local NIC down storing epoch %d", t.name, ep.Epoch)
-			}
-			// A partitioned receive link loses just this node's shards;
-			// the erasure budget absorbs it like a down node.
-			if n.nic != nil && !n.nic.TryTransfer(int64(len(shard))) {
-				failed[i] = true
-				continue
-			}
-			if !n.put(ep.Epoch, id, shard) {
-				failed[i] = true
-			}
-		}
+	stripe := make([]byte, 0, ep.Pages.Len()*ep.PageSize)
+	for _, data := range ep.Pages.All() {
 		sizes = append(sizes, len(data))
+		stripe = append(stripe, data...)
 	}
-	if len(failed) > t.coder.M() {
+	lost := 0
+	for i, shard := range t.coder.Encode(stripe) {
+		n := t.node(start, i)
+		if n.Down() {
+			lost++
+			continue
+		}
+		// The sender link is the checkpointing node's own NIC: with it
+		// down no shard can leave the node, so the whole store fails
+		// (retryably) rather than degrading.
+		if t.sender != nil && !t.sender.TryTransfer(int64(len(shard))) {
+			return fmt.Errorf("multilevel: peer tier %s: local NIC down storing epoch %d", t.name, ep.Epoch)
+		}
+		// A partitioned receive link loses just this node's shard; the
+		// erasure budget absorbs it like a down node.
+		if (n.nic != nil && !n.nic.TryTransfer(int64(len(shard)))) || !n.put(ep.Epoch, shard) {
+			lost++
+		}
+	}
+	if lost > t.coder.M() {
 		return fmt.Errorf("multilevel: peer tier %s: %d of %d target nodes lost shards mid-store, epoch %d unrecoverable",
-			t.name, len(failed), t.width(), ep.Epoch)
+			t.name, lost, t.width(), ep.Epoch)
 	}
 	t.mu.Lock()
-	t.meta[ep.Epoch] = &peerEpochMeta{start: start, ids: slices.Clone(ep.Pages.IDs()), sizes: sizes, degraded: len(failed) > 0}
+	t.meta[ep.Epoch] = &peerEpochMeta{start: start, pageSize: ep.PageSize, ids: slices.Clone(ep.Pages.IDs()), sizes: sizes, degraded: lost > 0}
 	t.mu.Unlock()
 	return nil
 }
@@ -214,14 +196,11 @@ func (t *PeerTier) Degraded(epoch uint64) bool {
 	return ok && meta.degraded
 }
 
-// Load implements Tier: it gathers whatever shards survive on the peers and
-// reconstructs every page, succeeding as long as k shards per page remain.
-// Shard gathering is serial — each fetch is a link transfer whose (virtual)
-// time is the real cost being modeled — but the k-of-n reconstruction of
-// the gathered pages is pure CPU, so it fans out in chunks of pages. The
-// decoders run under a real Env whatever the tier's own: they touch no
-// links, clocks or env primitives, so they are safe under the deterministic
-// kernel (which they cost no virtual time).
+// Load implements Tier: it gathers whatever shards of the epoch survive on
+// the peers, each fetch a link transfer whose (virtual) time is the cost
+// being modeled, reconstructs the stripe once and cuts it into pages. It
+// succeeds as long as k shards remain. Each page is its own copy, so the
+// set does not pin the stripe.
 func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	t.mu.Lock()
 	meta, ok := t.meta[epoch]
@@ -229,55 +208,28 @@ func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	if !ok {
 		return nil, fmt.Errorf("multilevel: peer tier %s does not hold epoch %d", t.name, epoch)
 	}
-	ids := meta.ids
-	sets := make([][][]byte, len(ids))
-	for j, id := range ids {
-		shards := make([][]byte, t.width())
-		for i := range shards {
-			n := t.node(meta.start, i)
-			shards[i] = n.get(epoch, id)
-			if shards[i] != nil && n.nic != nil && !n.nic.TryTransfer(int64(len(shards[i]))) {
-				shards[i] = nil // partitioned link: the shard is unreachable
-			}
+	shards := make([][]byte, t.width())
+	for i := range shards {
+		n := t.node(meta.start, i)
+		shards[i] = n.get(epoch)
+		if shards[i] != nil && n.nic != nil && !n.nic.TryTransfer(int64(len(shards[i]))) {
+			shards[i] = nil // partitioned link: the shard is unreachable
 		}
-		sets[j] = shards
 	}
-	pages := ckpt.NewPageSet(len(ids))
-	// One task per core, so an epoch of any size spreads over all of them.
-	workers := runtime.GOMAXPROCS(0)
-	chunk := max(minDecodeChunk, (len(ids)+workers-1)/workers)
-	chunks := (len(ids) + chunk - 1) / chunk
-	// The first failing chunk in page order wins, and within it the lowest
-	// page, so the surfaced error does not depend on worker interleaving.
-	err := sim.OrderedFanout(sim.NewRealEnv(), chunks, workers,
-		func(c int) ([][]byte, error) {
-			lo := c * chunk
-			out := make([][]byte, min(chunk, len(ids)-lo))
-			for j := range out {
-				var err error
-				if out[j], err = t.coder.Decode(sets[lo+j], meta.sizes[lo+j]); err != nil {
-					return nil, fmt.Errorf("multilevel: peer tier %s epoch %d page %d: %w", t.name, epoch, ids[lo+j], err)
-				}
-			}
-			return out, nil
-		},
-		func(c int, out [][]byte) error {
-			for j, data := range out {
-				pages.Append(ids[c*chunk+j], data)
-			}
-			return nil
-		})
+	total := 0
+	for _, size := range meta.sizes {
+		total += size
+	}
+	stripe, err := t.coder.Decode(shards, total)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("multilevel: peer tier %s epoch %d: %w", t.name, epoch, err)
 	}
-	// Page size is not stored per epoch on the peers; infer it from the
-	// largest page (pages are full-sized except possibly compressed ones,
-	// which the hierarchy never sends here).
-	pageSize := 0
-	if len(meta.sizes) > 0 {
-		pageSize = slices.Max(meta.sizes)
+	pages := ckpt.NewPageSet(len(meta.ids))
+	for j, id := range meta.ids {
+		pages.Append(id, bytes.Clone(stripe[:meta.sizes[j]]))
+		stripe = stripe[meta.sizes[j]:]
 	}
-	return &EpochData{Epoch: epoch, PageSize: pageSize, Pages: pages}, nil
+	return &EpochData{Epoch: epoch, PageSize: meta.pageSize, Pages: pages}, nil
 }
 
 // Epochs implements Tier.
