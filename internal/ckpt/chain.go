@@ -114,8 +114,9 @@ func (c *Chain) Live() []Manifest {
 	return append(entries, c.Epochs...)
 }
 
-// LiveSegments counts the segments a restore must read: the base plus every
-// live epoch with at least one physical record.
+// LiveSegments counts the segments the live chain holds: the base plus every
+// live epoch with at least one physical record. A restore opens only those
+// that own the newest copy of some page.
 func (c *Chain) LiveSegments() int {
 	n := 0
 	if c.Base != nil {

@@ -212,7 +212,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Epoch != 3 || im.SegmentsRead != 2 {
+	if im.Epoch != 3 || im.SegmentsRead != winnerSegments(ch.Live()) {
 		t.Fatalf("image = epoch %d, segments %d", im.Epoch, im.SegmentsRead)
 	}
 	if !bytes.Equal(pageAt(&im.Pages, 1), page(3, 16)) || !bytes.Equal(pageAt(&im.Pages, 2), page(4, 16)) {

@@ -127,6 +127,12 @@ func (m *MemFS) Create(name string) (io.WriteCloser, error) {
 	return &memFile{fs: m, name: name}, nil
 }
 
+// memReader is an open MemFS file: seekable, like an OSFS one, so a
+// restore passes over the records it does not use without copying them.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
+
 // Open implements FS. A missing file wraps fs.ErrNotExist, matching OSFS,
 // so callers can distinguish "vanished" from real I/O failures. The reader
 // shares the published slice: nothing mutates one in place (Close publishes
@@ -138,7 +144,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("ckpt: file %q does not exist: %w", name, iofs.ErrNotExist)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memReader{bytes.NewReader(data)}, nil
 }
 
 // List implements FS.

@@ -68,6 +68,76 @@ func FuzzVisitSegment(f *testing.F) {
 	})
 }
 
+// FuzzFoldSegment puts a fuzzed segment under a valid manifest — epoch 2,
+// pages 1 and 3, over an intact epoch 1 that wrote pages 0 to 3 — and runs
+// the winner-only fold on it. The fold must fail or return the right image:
+// equal to the read-everything oracle whenever that succeeds, epoch 1's
+// content for pages 0 and 2, and, for raw records, content matching the
+// manifest's hashes for pages 1 and 3. It must never panic.
+func FuzzFoldSegment(f *testing.F) {
+	const pageSize = 16
+	newer := [][]byte{bytes.Repeat([]byte{0x11}, pageSize), bytes.Repeat([]byte{0x33}, pageSize)}
+	raw := append(buildRecord(1, newer[0]), buildRecord(3, newer[1])...)
+	flate := append(buildRecord(1, compress.Encode(compress.Flate, newer[0])), buildRecord(3, compress.Encode(compress.Flate, newer[1]))...)
+	f.Add(raw, uint8(compress.None), true)
+	f.Add(raw, uint8(compress.None), false)
+	f.Add(flate, uint8(compress.Flate), true)
+	f.Add(raw[:len(raw)-3], uint8(compress.None), true)                // truncated winner
+	f.Add(append(buildRecord(3, newer[1]), raw...), uint8(0), true)    // records out of manifest order
+	f.Add(append(flate, buildRecord(5, newer[0])...), uint8(2), false) // a record the manifest does not list
+	f.Fuzz(func(t *testing.T, seg []byte, codec uint8, hashes bool) {
+		fs := &MemFS{}
+		r := NewRepository(fs, pageSize)
+		for p := 0; p < 4; p++ {
+			if err := r.WritePage(1, p, page(byte(0xe0+p), pageSize), pageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.EndEpoch(1); err != nil {
+			t.Fatal(err)
+		}
+		man := Manifest{Epoch: 2, PageSize: pageSize, PageCount: 2, Pages: []int{1, 3},
+			TotalBytes: int64(len(seg)), Codec: codec % 3}
+		if hashes {
+			man.Format, man.Hashes = FormatV2, []uint64{contentHash(newer[0]), contentHash(newer[1])}
+		}
+		manJSON, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putFile(t, fs, segmentName(2), seg)
+		putFile(t, fs, manifestName(2), manJSON)
+		ch, err := LoadChain(fs)
+		if err != nil {
+			t.Fatalf("valid manifest rejected: %v", err)
+		}
+		want, oracleErr := oracleFold(fs, ch.Live())
+		for _, workers := range []int{1, 2} {
+			got, _, err := FoldChain(fs, ch.Live(), workers)
+			if err != nil {
+				continue
+			}
+			if oracleErr == nil && !got.Equal(&want) {
+				t.Fatalf("workers=%d: fold differs from the oracle", workers)
+			}
+			if got.Len() != 4 {
+				t.Fatalf("workers=%d: %d pages, want 4", workers, got.Len())
+			}
+			for _, p := range []int{0, 2} {
+				if !bytes.Equal(pageAt(&got, p), page(byte(0xe0+p), pageSize)) {
+					t.Fatalf("workers=%d: page %d is not epoch 1's", workers, p)
+				}
+			}
+			for i, p := range []int{1, 3} {
+				data := pageAt(&got, p)
+				if len(data) != pageSize || hashes && man.Codec == 0 && !bytes.Equal(data, newer[i]) {
+					t.Fatalf("workers=%d: page %d restored as %x", workers, p, data)
+				}
+			}
+		}
+	})
+}
+
 // FuzzManifestDecode feeds arbitrary manifest JSON through the chain loader
 // and the full restore path. Whatever the bytes say, nothing may panic, and
 // a chain that loads must restore or fail cleanly.

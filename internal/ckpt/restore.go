@@ -1,10 +1,14 @@
 package ckpt
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/compress"
@@ -20,9 +24,8 @@ type Image struct {
 	PageSize int
 	Epoch    uint64 // newest sealed epoch folded into the image
 	Pages    PageSet
-	// SegmentsRead counts the segments the restore actually parsed; with a
-	// compacted chain it is bounded by the compaction depth rather than the
-	// run length.
+	// SegmentsRead counts the segments that owned at least one winner — the
+	// newest copy of some page — which are the only ones the restore opens.
 	SegmentsRead int
 }
 
@@ -61,10 +64,38 @@ type EpochInfo struct {
 	Superseded bool
 }
 
+// recordHeaderSize is the framing every segment record starts with (see
+// the record format in repo.go).
+const recordHeaderSize = 20
+
+// parseRecordHeader checks one record header of m's segment — magic, and a
+// payload size m's codec allows — and returns the page it names, the
+// payload size and the payload hash. Without a codec a payload is exactly
+// one page; compressed payloads vary but may exceed the page size only by
+// the one-byte codec header (the verbatim-fallback encoding). The codec
+// decoder enforces its exact output size.
+func parseRecordHeader(m *Manifest, hdr []byte) (page, size int, sum uint64, err error) {
+	if binary.LittleEndian.Uint32(hdr[0:]) != recordMagic {
+		return 0, 0, 0, errors.New("bad record magic")
+	}
+	page = int(binary.LittleEndian.Uint32(hdr[4:]))
+	size = int(binary.LittleEndian.Uint32(hdr[8:]))
+	sum = binary.LittleEndian.Uint64(hdr[12:])
+	if m.Codec == 0 && size != m.PageSize {
+		return page, size, sum, fmt.Errorf("record size %d != page size %d", size, m.PageSize)
+	}
+	if size < 0 || size > m.PageSize+1 {
+		return page, size, sum, fmt.Errorf("invalid record size %d", size)
+	}
+	return page, size, sum, nil
+}
+
 // scanSegment parses one manifest's segment (epoch or base), verifying every
 // record's framing and payload hash and decoding transparently, and calls
-// visit for every record in file order. Verification passes a visit that
-// keeps nothing, so a scrub never holds more than one record.
+// visit for every record in file order. It is the full read that drains,
+// inspection and scrub need; restore reads only winners (FoldChain).
+// Verification passes a visit that keeps nothing, so a scrub never holds
+// more than one record.
 func scanSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 	if m.PageCount == 0 {
 		return nil
@@ -74,7 +105,7 @@ func scanSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 		return fmt.Errorf("ckpt: epoch %d sealed but segment missing: %w", m.Epoch, err)
 	}
 	defer f.Close()
-	var hdr [20]byte
+	var hdr [recordHeaderSize]byte
 	// With a codec, the encoded payload is scratch (only the decoded copy
 	// reaches visit), so one recycled buffer serves every record; without
 	// one, the payload itself is handed to visit, which may retain it, so
@@ -89,21 +120,9 @@ func scanSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 		if err != nil {
 			return fmt.Errorf("ckpt: epoch %d: truncated record header: %w", m.Epoch, err)
 		}
-		if binary.LittleEndian.Uint32(hdr[0:]) != recordMagic {
-			return fmt.Errorf("ckpt: epoch %d: bad record magic", m.Epoch)
-		}
-		page := int(binary.LittleEndian.Uint32(hdr[4:]))
-		size := int(binary.LittleEndian.Uint32(hdr[8:]))
-		want := binary.LittleEndian.Uint64(hdr[12:])
-		// Without a codec a record payload is exactly one page; compressed
-		// payloads vary but may exceed the page size only by the one-byte
-		// codec header (the verbatim-fallback encoding). The codec decoder
-		// enforces its exact output size below.
-		if m.Codec == 0 && size != m.PageSize {
-			return fmt.Errorf("ckpt: epoch %d page %d: record size %d != page size %d", m.Epoch, page, size, m.PageSize)
-		}
-		if size < 0 || size > m.PageSize+1 {
-			return fmt.Errorf("ckpt: epoch %d page %d: invalid size %d", m.Epoch, page, size)
+		page, size, want, err := parseRecordHeader(&m, hdr[:])
+		if err != nil {
+			return fmt.Errorf("ckpt: epoch %d record %d: %w", m.Epoch, count, err)
 		}
 		var data []byte
 		if m.Codec != 0 {
@@ -151,11 +170,11 @@ func readSegment(fs FS, m Manifest) (PageSet, error) {
 
 // RestoreOptions tunes Restore.
 type RestoreOptions struct {
-	// Workers is the number of concurrent segment readers: each parses,
-	// hash-verifies and codec-decodes whole segments (the chain's base and
-	// epochs) while the caller folds finished segments into the image in
-	// strict chain order, so the result is bit-identical for any width.
-	// 0 picks DefaultRestoreWorkers.
+	// Workers is the number of concurrent segment readers: each reads,
+	// hash-verifies and codec-decodes the winning records of one segment,
+	// or of one chunk of a large raw segment, into the image's own slots,
+	// so the result is bit-identical for any width. 0 picks
+	// DefaultRestoreWorkers.
 	Workers int
 }
 
@@ -164,13 +183,12 @@ type RestoreOptions struct {
 func DefaultRestoreWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 
 // Restore folds the chain (newest committed base, then every live sealed
-// epoch, oldest to newest, newest content wins) into a memory image.
-// Unsealed segments — a checkpoint or compaction interrupted by a crash —
-// are ignored, which is exactly the recovery semantics of asynchronous
-// checkpointing: the restart point is the last *completed* checkpoint. With
-// a compacted chain the fold reads at most depth segments (the base plus
-// the epochs after it) instead of the whole history. Use RestoreWith to
-// control the number of segment readers.
+// epoch, newest content wins) into a memory image. Unsealed segments — a
+// checkpoint or compaction interrupted by a crash — are ignored, which is
+// exactly the recovery semantics of asynchronous checkpointing: the restart
+// point is the last *completed* checkpoint. The fold reads only the newest
+// copy of each page (FoldChain), so its cost is the image's, not the
+// chain's. Use RestoreWith to control the number of segment readers.
 func Restore(fs FS) (*Image, error) {
 	return RestoreWith(fs, RestoreOptions{})
 }
@@ -189,35 +207,251 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 	if workers <= 0 {
 		workers = DefaultRestoreWorkers()
 	}
-	pages, segments, err := FoldSegments(fs, ch.Live(), workers)
+	pages, segments, err := FoldChain(fs, ch.Live(), workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Image{PageSize: ch.PageSize, Epoch: last, Pages: pages, SegmentsRead: segments}, nil
 }
 
-// FoldSegments is the one chain fold: it reads entries — a base and the
-// epochs after it, oldest first — on up to workers concurrent readers and
-// merges them in that order, newest content winning, so the result is the
-// same for any width. The first failing entry in chain order is the error.
-// It also returns how many segments held records. Restore and the compactor
+// FoldChain is the one chain fold: it folds entries — a base and the epochs
+// after it, oldest first — into the newest content of every page, reading
+// and verifying only that newest copy, on up to workers concurrent readers;
+// the result is the same for any width. It returns how many segments owned
+// at least one winner: the only ones it opens. Restore and the compactor
 // both fold with it.
-func FoldSegments(fs FS, entries []Manifest, workers int) (PageSet, int, error) {
-	var pages PageSet
-	segments := 0
-	err := sim.OrderedFanout(sim.NewRealEnv(), len(entries), workers,
-		func(i int) (PageSet, error) { return readSegment(fs, entries[i]) },
-		func(i int, seg PageSet) error {
-			if entries[i].PageCount > 0 {
-				segments++
-			}
-			pages.Merge(&seg)
-			return nil
-		})
+//
+// The manifests alone decide the winners (pickWinners). Every record the
+// fold uses is verified as scanSegment verifies it — framing, size, payload
+// hash, decode — and also against its manifest: the header names the
+// manifest's page, and, for a raw record under a v2 manifest, the record
+// hash is the manifest's content hash. A bad winner fails the fold, naming
+// its epoch and page; older content never stands in for it. Records a
+// newer copy supersedes are neither hashed nor decoded, so damage to them
+// is scrub's to find, not restore's.
+func FoldChain(fs FS, entries []Manifest, workers int) (PageSet, int, error) {
+	picks, ids, err := pickWinners(entries)
 	if err != nil {
 		return PageSet{}, 0, err
 	}
-	return pages, segments, nil
+	pages := make([][]byte, len(ids))
+	units, segments := foldUnits(entries, picks, workers)
+	// Each unit fills only its own slots, so there is nothing to merge: the
+	// fold step is empty and the first failing unit in chain order is the
+	// error.
+	err = sim.OrderedFanout(sim.NewRealEnv(), len(units), workers,
+		func(i int) (struct{}, error) { return struct{}{}, units[i].read(fs, pages) },
+		func(int, struct{}) error { return nil })
+	if err != nil {
+		return PageSet{}, 0, err
+	}
+	return PageSet{ids: ids, pages: pages}, segments, nil
+}
+
+// pick is one winner of a fold: record rec of entries[entry]'s segment is
+// the newest physical copy of page, and lands in slot of the image.
+type pick struct{ page, slot, entry, rec int }
+
+// pickWinners is the fold's manifest pass. It walks the entries newest
+// first, and each manifest's Pages last to first: a segment's records are in
+// manifest order (segmentWriter.append adds both under one lock), and a page
+// written twice in one epoch keeps its later record. The first copy seen of
+// a page wins. Refs need nothing: a deduplicated page's content is its
+// newest physical record. ids are the image's page ids, ascending; the
+// picks come back in chain order — by entry, then record — carrying their
+// image slot.
+func pickWinners(entries []Manifest) (picks []pick, ids []int, err error) {
+	hint := 0
+	for i := range entries {
+		m := &entries[i]
+		if len(m.Pages) != m.PageCount {
+			return nil, nil, fmt.Errorf("ckpt: epoch %d: manifest lists %d pages, page count %d", m.Epoch, len(m.Pages), m.PageCount)
+		}
+		hint = max(hint, len(m.Pages))
+	}
+	seen := make(map[int]struct{}, hint)
+	picks = make([]pick, 0, hint)
+	for e := len(entries) - 1; e >= 0; e-- {
+		pages := entries[e].Pages
+		for r := len(pages) - 1; r >= 0; r-- {
+			if _, ok := seen[pages[r]]; !ok {
+				seen[pages[r]] = struct{}{}
+				picks = append(picks, pick{page: pages[r], entry: e, rec: r})
+			}
+		}
+	}
+	slices.SortFunc(picks, func(a, b pick) int { return cmp.Compare(a.page, b.page) })
+	ids = make([]int, len(picks))
+	for s := range picks {
+		ids[s], picks[s].slot = picks[s].page, s
+	}
+	slices.SortFunc(picks, func(a, b pick) int {
+		return cmp.Or(cmp.Compare(a.entry, b.entry), cmp.Compare(a.rec, b.rec))
+	})
+	return picks, ids, nil
+}
+
+// minUnitRecords is the smallest chunk a raw segment's winners are split
+// into, so that a chunk's open and seek stay small beside its reads while a
+// single large segment — a full rewrite, a base — still spreads over every
+// reader.
+const minUnitRecords = 256
+
+// foldUnit is one load of a fold: winners of one segment, ascending.
+type foldUnit struct {
+	m     *Manifest
+	picks []pick
+}
+
+// foldUnits cuts the chain-ordered picks into loads: one per segment that
+// owns a winner, and a raw segment's winners further into chunks of about
+// 1/workers of the image. A coded segment stays whole: its record offsets
+// are known only by walking its headers from the start. segments counts the
+// segments that own a winner.
+func foldUnits(entries []Manifest, picks []pick, workers int) (units []foldUnit, segments int) {
+	chunk := max(minUnitRecords, (len(picks)+workers-1)/max(workers, 1))
+	for len(picks) > 0 {
+		m := &entries[picks[0].entry]
+		n := 1
+		for n < len(picks) && picks[n].entry == picks[0].entry {
+			n++
+		}
+		own := picks[:n]
+		picks = picks[n:]
+		segments++
+		for len(own) > 0 {
+			k := len(own)
+			if m.Codec == 0 {
+				k = min(k, chunk)
+			}
+			units = append(units, foldUnit{m: m, picks: own[:k]})
+			own = own[k:]
+		}
+	}
+	return units, segments
+}
+
+// read verifies the unit's winners and stores each in its own slot of
+// pages. Raw records all have one size, so the cursor goes straight to each
+// winner; a coded segment's records are found by walking its headers from
+// the start, passing over the payloads of records the fold does not use.
+// Adjacent winners share the cursor's buffered reads.
+func (u foldUnit) read(fs FS, pages [][]byte) error {
+	m := u.m
+	f, err := fs.Open(segmentFile(*m))
+	if err != nil {
+		return fmt.Errorf("ckpt: epoch %d sealed but segment missing: %w", m.Epoch, err)
+	}
+	defer f.Close()
+	c := segmentCursor{f: f, br: bufio.NewReaderSize(f, segmentBufSize)}
+	var scratch []byte // a coded payload: only its decoded copy is kept
+	if m.Codec != 0 {
+		scratch = make([]byte, m.PageSize+1)
+	}
+	rec := 0
+	for _, p := range u.picks {
+		if m.Codec == 0 {
+			rec = p.rec
+			err = c.seekTo(int64(rec) * int64(recordHeaderSize+m.PageSize))
+		}
+		for ; err == nil && rec < p.rec; rec++ {
+			var size int
+			if _, size, _, err = c.header(m); err == nil {
+				err = c.skip(int64(size))
+			}
+			if err != nil {
+				err = fmt.Errorf("record %d: %w", rec, err)
+			}
+		}
+		if err == nil {
+			pages[p.slot], err = u.winner(&c, p, scratch)
+			rec++
+		}
+		if err != nil {
+			return fmt.Errorf("ckpt: epoch %d page %d: %w", m.Epoch, p.page, err)
+		}
+	}
+	return nil
+}
+
+// winner reads and verifies the record at the cursor, pick p: framing and
+// size, that the header names the manifest's page, the payload hash, the
+// decode, and, for a raw record, the v2 manifest's content hash. It returns
+// the page's content in its own allocation, so that a set never pins a
+// segment.
+func (u foldUnit) winner(c *segmentCursor, p pick, scratch []byte) ([]byte, error) {
+	m := u.m
+	page, size, sum, err := c.header(m)
+	if err != nil {
+		return nil, err
+	}
+	if page != p.page {
+		return nil, fmt.Errorf("record %d holds page %d, manifest says %d", p.rec, page, p.page)
+	}
+	var data []byte
+	if m.Codec == 0 {
+		data = make([]byte, size) // the payload is the page
+	} else {
+		data = scratch[:size]
+	}
+	if err := c.read(data); err != nil {
+		return nil, fmt.Errorf("truncated payload: %w", err)
+	}
+	if util.Fnv64a(data) != sum {
+		return nil, errors.New("hash mismatch")
+	}
+	if m.Codec != 0 {
+		return compress.Decode(data, m.PageSize)
+	}
+	// A raw record's hash is its content hash, so checking it against the
+	// v2 manifest's costs nothing. A coded record's would cost a second pass
+	// over the decoded page; its payload hash and the decoder's exact
+	// output size cover it.
+	if m.Format >= FormatV2 && len(m.Hashes) == len(m.Pages) && sum != m.Hashes[p.rec] {
+		return nil, errors.New("content does not match the manifest's hash")
+	}
+	return data, nil
+}
+
+// segmentCursor reads forward through one open segment and passes over
+// what the fold does not use without reading it where it can: inside the
+// read buffer, or by seeking when the file is an io.Seeker. Only otherwise
+// does it read through.
+type segmentCursor struct {
+	f   io.Reader
+	br  *bufio.Reader
+	pos int64 // offset of the next byte the cursor yields
+	hdr [recordHeaderSize]byte
+}
+
+func (c *segmentCursor) read(p []byte) error {
+	n, err := io.ReadFull(c.br, p)
+	c.pos += int64(n)
+	return err
+}
+
+// header reads and checks the record header at the cursor.
+func (c *segmentCursor) header(m *Manifest) (page, size int, sum uint64, err error) {
+	if err := c.read(c.hdr[:]); err != nil {
+		return 0, 0, 0, fmt.Errorf("truncated record header: %w", err)
+	}
+	return parseRecordHeader(m, c.hdr[:])
+}
+
+func (c *segmentCursor) seekTo(off int64) error { return c.skip(off - c.pos) }
+
+// skip moves n >= 0 bytes forward.
+func (c *segmentCursor) skip(n int64) error {
+	c.pos += n
+	if s, ok := c.f.(io.Seeker); ok && n > int64(c.br.Buffered()) {
+		c.br.Reset(c.f)
+		_, err := s.Seek(c.pos, io.SeekStart)
+		return err
+	}
+	if _, err := c.br.Discard(int(n)); err != nil {
+		return fmt.Errorf("truncated segment: %w", err)
+	}
+	return nil
 }
 
 // ListSealed returns the manifests of all sealed epochs on fs, sorted by

@@ -55,16 +55,13 @@ func compactPrefix(t *testing.T, fs FS, to uint64, pageSize int, codec uint8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pages PageSet
-	for _, m := range ch.Epochs {
-		if m.Epoch > to {
-			break
-		}
-		seg, err := readSegment(fs, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages.Merge(&seg)
+	n := 0
+	for n < len(ch.Epochs) && ch.Epochs[n].Epoch <= to {
+		n++
+	}
+	pages, err := oracleFold(fs, ch.Epochs[:n])
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := WriteBase(fs, 1, to, pageSize, &pages, codec); err != nil {
 		t.Fatal(err)
@@ -133,12 +130,13 @@ func TestRestoreParallelBitIdentity(t *testing.T) {
 }
 
 // A corrupt interior segment must surface the same error (the first
-// failing entry in chain order) at every worker count.
+// failing winner in chain order) at every worker count.
 func TestRestoreParallelErrorMatchesSerial(t *testing.T) {
 	const pageSize = 128
 	fs := buildTestChain(t, 8, pageSize, compress.None, false)
-	// Corrupt epoch 4's segment payload (flip a byte past the header).
-	name := segmentName(4)
+	// Corrupt a winning record of epoch 6 (flip a byte past the header):
+	// epochs 5 to 8 rewrite every page epochs 1 to 4 wrote.
+	name := segmentName(6)
 	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
@@ -239,14 +237,15 @@ func (f *afterReturnFile) Close() error {
 func TestRestoreErrorLeavesNoReaderBehind(t *testing.T) {
 	const pageSize = 128
 	mem := buildTestChain(t, 8, pageSize, compress.None, false)
-	mem.files[segmentName(1)][30] ^= 0xff
+	// Epoch 5 is the oldest segment that owns winners.
+	mem.files[segmentName(5)][30] ^= 0xff
 	for _, workers := range []int{1, 4, 8} {
-		fs := &afterReturnFS{FS: mem, t: t, first: segmentName(1),
+		fs := &afterReturnFS{FS: mem, t: t, first: segmentName(5),
 			firstEnd: make(chan struct{}), returned: make(chan struct{})}
 		_, err := RestoreWith(fs, RestoreOptions{Workers: workers})
 		close(fs.returned)
-		if err == nil || !strings.Contains(err.Error(), "epoch 1") {
-			t.Fatalf("workers=%d: err = %v, want epoch 1's corruption", workers, err)
+		if err == nil || !strings.Contains(err.Error(), "epoch 5") {
+			t.Fatalf("workers=%d: err = %v, want epoch 5's corruption", workers, err)
 		}
 		fs.open.Wait() // let a straggler run into check before the verdict
 	}

@@ -94,7 +94,8 @@ type Result struct {
 	// leftovers from earlier interrupted passes).
 	BytesReclaimed int64
 	FilesRemoved   int
-	// LiveSegments is the chain length a restore reads after the pass.
+	// LiveSegments is the number of segments the live chain holds after
+	// the pass.
 	LiveSegments int
 }
 
@@ -150,7 +151,8 @@ func runOnce(cfg Config, force bool) (Result, error) {
 
 	// Fold the base and the foldable prefix into a consolidated image with
 	// one segment reader: a compaction runs next to the application and
-	// must not multiply its footprint for speed.
+	// must not multiply its footprint for speed. The fold reads only the
+	// newest copy of each page, like a restore.
 	from := foldable[0].Epoch
 	var entries []ckpt.Manifest
 	if ch.Base != nil {
@@ -159,7 +161,7 @@ func runOnce(cfg Config, force bool) (Result, error) {
 	}
 	entries = append(entries, foldable...)
 	to := foldable[len(foldable)-1].Epoch
-	pages, _, err := ckpt.FoldSegments(cfg.FS, entries, 1)
+	pages, _, err := ckpt.FoldChain(cfg.FS, entries, 1)
 	if err != nil {
 		return res, fmt.Errorf("compact: fold [%d,%d]: %w", from, to, err)
 	}

@@ -15,6 +15,31 @@ func fillPage(b byte, size int) []byte {
 	return p
 }
 
+// winnerSegments counts the live chain entries that hold the newest copy of
+// at least one page: the segments a restore opens.
+func winnerSegments(t *testing.T, fs ckpt.FS) int {
+	t.Helper()
+	ch, err := ckpt.LoadChain(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := ch.Live()
+	seen := map[int]bool{}
+	n := 0
+	for i := len(live) - 1; i >= 0; i-- {
+		owns := false
+		for _, p := range live[i].Pages {
+			if !seen[p] {
+				seen[p], owns = true, true
+			}
+		}
+		if owns {
+			n++
+		}
+	}
+	return n
+}
+
 // writeChain seals epochs 1..n, each dirtying a rolling window of pages so
 // later epochs shadow earlier content.
 func writeChain(t *testing.T, fs ckpt.FS, pageSize, n int) {
@@ -44,8 +69,8 @@ func TestRunOnceFoldsAndBoundsRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.SegmentsRead != 12 {
-		t.Fatalf("uncompacted restore read %d segments", before.SegmentsRead)
+	if want := winnerSegments(t, fs); before.SegmentsRead != want {
+		t.Fatalf("uncompacted restore read %d segments, %d own a winner", before.SegmentsRead, want)
 	}
 
 	cfg := Config{FS: fs, PageSize: pageSize, Policy: Policy{MaxDepth: 4}}

@@ -24,9 +24,9 @@ type Image struct {
 // before writing.
 func (im *Image) Page(id int) []byte { return im.inner.PageOr(id) }
 
-// SegmentsRead reports how many segments the restore parsed. With a
-// compacted chain it is bounded by the compaction depth (the consolidated
-// base plus the epochs after it) instead of growing with run length.
+// SegmentsRead reports how many segments owned at least one winner — the
+// newest copy of some page. Those are the only segments the restore opened;
+// one whose every page a newer checkpoint rewrote is never read.
 func (im *Image) SegmentsRead() int { return im.inner.SegmentsRead }
 
 // PageIDs returns the sorted IDs of all pages present in the image.
@@ -34,10 +34,11 @@ func (im *Image) PageIDs() []int { return slices.Clone(im.inner.Pages.IDs()) }
 
 // Restore reads the checkpoint repository in dir and folds all sealed
 // epochs into a memory image. Epochs interrupted by a crash before sealing
-// are ignored: the restart point is the last completed checkpoint.
-// Segments are parsed by min(GOMAXPROCS, 8) concurrent readers and folded
-// in chain order, so the image is the same for any reader count; use
-// RestoreWorkers to pin it.
+// are ignored: the restart point is the last completed checkpoint. The
+// manifests decide which record holds each page's newest copy, and only
+// those records are read and verified, by min(GOMAXPROCS, 8) concurrent
+// readers; the image is the same for any reader count. Use RestoreWorkers
+// to pin it.
 func Restore(dir string) (*Image, error) { return RestoreWorkers(dir, 0) }
 
 // RestoreWorkers is Restore with an explicit segment-reader count; 0 picks
@@ -128,13 +129,13 @@ type EpochReport struct {
 	BaseFrom, BaseTo uint64
 }
 
-// ChainSummary condenses the repository chain: what restore will read, what
-// compaction has folded, and what garbage collection could still reclaim.
+// ChainSummary condenses the repository chain: what the live chain holds,
+// what compaction has folded, and what garbage collection could still reclaim.
 type ChainSummary struct {
 	PageSize int
 	// LastEpoch is the restart point (through live epochs or the base).
 	LastEpoch uint64
-	// LiveSegments is the number of segments a restore reads.
+	// LiveSegments is the number of segments the live chain holds.
 	LiveSegments int
 	// HasBase reports a committed consolidated base covering
 	// [BaseFrom, BaseTo].
