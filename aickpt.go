@@ -44,36 +44,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Strategy selects how checkpoints are written.
-type Strategy int
+// Strategy selects how checkpoints are written; String names it as the
+// paper's evaluation does.
+type Strategy = core.Strategy
 
 const (
 	// Adaptive is asynchronous incremental checkpointing with
 	// access-pattern-adapted flush ordering — the paper's contribution
 	// and the default.
-	Adaptive Strategy = iota
+	Adaptive = core.Adaptive
 	// NoPattern is asynchronous incremental checkpointing that flushes
 	// dirty pages in ascending address order.
-	NoPattern
+	NoPattern = core.NoPattern
 	// Sync blocks inside Checkpoint until all dirty pages are stored.
-	Sync
+	Sync = core.Sync
 )
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string { return coreStrategy(s).String() }
-
-func coreStrategy(s Strategy) core.Strategy {
-	switch s {
-	case Adaptive:
-		return core.Adaptive
-	case NoPattern:
-		return core.NoPattern
-	case Sync:
-		return core.Sync
-	default:
-		panic(fmt.Sprintf("aickpt: unknown strategy %d", int(s)))
-	}
-}
 
 // Store receives committed pages; implement it to plug in custom storage
 // backends (the paper's page manager is modular in the same way: POSIX file
@@ -214,16 +199,16 @@ func (p CompactionPolicy) internal() compact.Policy {
 }
 
 // Compression names a page codec for the durable repository.
-type Compression int
+type Compression = compress.Codec
 
 const (
 	// CompressionNone stores pages verbatim.
-	CompressionNone Compression = iota
+	CompressionNone = compress.None
 	// CompressionZero elides all-zero pages (one byte each).
-	CompressionZero
+	CompressionZero = compress.Zero
 	// CompressionFlate applies DEFLATE with zero-page elision, falling
 	// back to verbatim storage for incompressible pages.
-	CompressionFlate
+	CompressionFlate = compress.Flate
 )
 
 // Runtime is the per-process checkpointing runtime: it owns the protected
@@ -254,6 +239,12 @@ func New(opts Options) (*Runtime, error) {
 	}
 	if opts.PageSize < 16 {
 		return nil, fmt.Errorf("aickpt: page size %d too small", opts.PageSize)
+	}
+	if opts.Strategy < Adaptive || opts.Strategy > Sync {
+		return nil, fmt.Errorf("aickpt: unknown strategy %d", opts.Strategy)
+	}
+	if opts.Compression > CompressionFlate {
+		return nil, fmt.Errorf("aickpt: unknown compression %d", opts.Compression)
 	}
 	if opts.CowBuffer == 0 && !opts.DisableCow {
 		opts.CowBuffer = 16 << 20
@@ -352,22 +343,14 @@ func New(opts Options) (*Runtime, error) {
 		}
 		rt.fs = fs
 		rt.repo = ckpt.NewRepository(fs, opts.PageSize)
-		switch opts.Compression {
-		case CompressionNone:
-		case CompressionZero:
-			rt.repo.SetCodec(compress.Zero)
-		case CompressionFlate:
-			rt.repo.SetCodec(compress.Flate)
-		default:
-			return nil, fmt.Errorf("aickpt: unknown compression %d", opts.Compression)
-		}
+		rt.repo.SetCodec(opts.Compression)
 		rt.repo.SetDedup(!opts.DisableDedup)
 		rt.repo.SetMetrics(rt.metrics)
 		backend = rt.repo
 		rt.compactCfg = &compact.Config{
 			FS:       fs,
 			PageSize: opts.PageSize,
-			Codec:    uint8(repoCodec(opts.Compression)),
+			Codec:    uint8(opts.Compression),
 			Policy:   opts.Compaction.internal(),
 			Metrics:  rt.metrics,
 		}
@@ -393,7 +376,7 @@ func New(opts Options) (*Runtime, error) {
 		Env:           env,
 		Space:         rt.space,
 		Store:         storeAdapter{s: backend, compactor: rt.compactor},
-		Strategy:      coreStrategy(opts.Strategy),
+		Strategy:      opts.Strategy,
 		CowSlots:      int(opts.CowBuffer / int64(opts.PageSize)),
 		CommitWorkers: opts.CommitWorkers,
 		FirstEpoch:    firstEpoch,
@@ -415,17 +398,6 @@ func New(opts Options) (*Runtime, error) {
 		rt.debug = srv
 	}
 	return rt, nil
-}
-
-func repoCodec(c Compression) compress.Codec {
-	switch c {
-	case CompressionZero:
-		return compress.Zero
-	case CompressionFlate:
-		return compress.Flate
-	default:
-		return compress.None
-	}
 }
 
 // storeAdapter bridges the public Store interface to the internal backend
@@ -573,49 +545,30 @@ func (rt *Runtime) CompactNow() (CompactionResult, error) {
 // number of segments a restore reads afterwards.
 type CompactionResult = compact.Result
 
-// StorageStats reports the repository-side counters of the runtime:
-// content-addressed dedup activity and background compaction totals. With
-// a custom Store all counters are zero.
+// StorageStats reports the repository-side counters of the runtime. The
+// dedup counters: PagesStored/BytesStored count physical segment records
+// written, PagesDeduped/BytesDeduped the page commits elided because the
+// content matched the newest chain entry. The background compactor's
+// totals: Compactions counts committed bases and EpochsFolded the epochs
+// they absorbed, BytesWritten/BytesReclaimed are base bytes written and
+// garbage bytes collected, and LiveSegments is the chain length after the
+// last pass (0 until one runs). With a custom Store all counters are zero.
 type StorageStats struct {
-	// PagesStored / BytesStored count physical segment records written.
-	PagesStored int
-	BytesStored int64
-	// PagesDeduped / BytesDeduped count page commits elided because the
-	// content matched the newest chain entry.
-	PagesDeduped int
-	BytesDeduped int64
-	// Compactions counts committed bases; EpochsFolded the epochs they
-	// absorbed.
-	Compactions  int
-	EpochsFolded int
-	// CompactionBytesWritten / BytesReclaimed are base bytes written and
-	// garbage bytes collected over the runtime's life.
-	CompactionBytesWritten int64
-	BytesReclaimed         int64
-	// LiveSegments is the chain length after the last compaction pass (0
-	// until one runs).
-	LiveSegments int
+	ckpt.DedupStats
+	compact.Stats
 }
 
 // StorageStats returns the runtime's dedup and compaction counters.
 func (rt *Runtime) StorageStats() StorageStats {
 	var out StorageStats
-	var ds ckpt.DedupStats
 	switch {
 	case rt.repo != nil:
-		ds = rt.repo.DedupStats()
+		out.DedupStats = rt.repo.DedupStats()
 	case rt.hier != nil:
-		ds = rt.hier.inner.Local().DedupStats()
+		out.DedupStats = rt.hier.inner.Local().DedupStats()
 	}
-	out.PagesStored, out.BytesStored = ds.PagesStored, ds.BytesStored
-	out.PagesDeduped, out.BytesDeduped = ds.PagesDeduped, ds.BytesDeduped
 	if rt.compactor != nil {
-		cs := rt.compactor.Stats()
-		out.Compactions = cs.Compactions
-		out.EpochsFolded = cs.EpochsFolded
-		out.CompactionBytesWritten = cs.BytesWritten
-		out.BytesReclaimed = cs.BytesReclaimed
-		out.LiveSegments = cs.LiveSegments
+		out.Stats = rt.compactor.Stats()
 	}
 	return out
 }

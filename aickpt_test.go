@@ -180,14 +180,14 @@ func TestInspectReportsHealth(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := Inspect(dir)
+	health, err := Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || !reports[0].Healthy || reports[0].PageCount != 4 {
-		t.Fatalf("reports = %+v", reports)
+	if len(health) != 1 || health[0].Status != HealthOK || health[0].PageCount != 4 || health[0].TotalBytes == 0 {
+		t.Fatalf("health = %+v", health)
 	}
-	// Corrupt the segment; Inspect must notice.
+	// Corrupt the segment; Verify must notice.
 	seg := filepath.Join(dir, fmt.Sprintf("epoch-%08d.pages", 1))
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -197,12 +197,12 @@ func TestInspectReportsHealth(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reports, err = Inspect(dir)
+	health, err = Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reports[0].Healthy {
-		t.Error("Inspect missed corruption")
+	if len(health) != 1 || health[0].Status != HealthSegmentCorrupt || !health[0].Damaged {
+		t.Errorf("Verify missed corruption: %+v", health)
 	}
 }
 
@@ -218,6 +218,12 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Dir: "x", CowBuffer: -1}); err == nil {
 		t.Error("negative CowBuffer accepted")
+	}
+	if _, err := New(Options{Dir: t.TempDir(), Strategy: 7}); err == nil {
+		t.Error("unknown strategy accepted")
+	}
+	if _, err := New(Options{Store: nullStore{}, Compression: 9}); err == nil {
+		t.Error("unknown compression accepted with a custom store")
 	}
 }
 

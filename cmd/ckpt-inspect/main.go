@@ -1,8 +1,9 @@
 // Command ckpt-inspect examines an AI-Ckpt checkpoint repository: it lists
 // every chain entry — consolidated bases and sealed epochs — verifies
-// record integrity (per-page FNV-64a hashes), reports per-epoch dedup
-// ratios, marks entries superseded by a compacted base, sums the bytes a
-// garbage-collection pass could reclaim, and prints the restart point.
+// every record with the checks restore makes (aickpt.Verify), reports
+// per-entry dedup ratios, marks entries superseded by a compacted base,
+// sums the bytes a garbage-collection pass could reclaim, and prints the
+// page size and the restart point.
 // When the repository is the local tier of a multi-level hierarchy, it
 // also prints each epoch's tier manifest: which tiers hold the epoch, in
 // what state, and the erasure shard layout on the peer tier.
@@ -72,38 +73,33 @@ func main() {
 		os.Exit(2)
 	}
 	dir := os.Args[1]
-	reports, err := aickpt.Inspect(dir)
+	health, err := aickpt.Verify(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-inspect:", err)
 		os.Exit(1)
 	}
-	if len(reports) == 0 {
+	if len(health) == 0 {
 		fmt.Println("no sealed epochs found")
 		os.Exit(0)
 	}
-	fmt.Printf("%-16s %-10s %-8s %-8s %-8s %-12s %-10s %-8s %s\n",
-		"entry", "pagesize", "pages", "deduped", "dedup%", "bytes", "status", "healthy", "problem")
+	fmt.Printf("%-28s %-8s %-8s %-8s %-12s %-10s %-16s %s\n",
+		"entry", "pages", "deduped", "dedup%", "bytes", "chain", "status", "detail")
 	healthy := true
-	for _, r := range reports {
-		entry := fmt.Sprintf("epoch %d", r.Epoch)
-		if r.IsBase {
-			entry = fmt.Sprintf("base [%d,%d]", r.BaseFrom, r.BaseTo)
+	for _, h := range health {
+		chain := "live"
+		if h.Superseded {
+			chain = "superseded"
 		}
-		status := "live"
-		if r.Superseded {
-			status = "superseded"
+		ratio := 0.0
+		if n := h.PageCount + h.Deduped; n > 0 {
+			ratio = float64(h.Deduped) / float64(n)
 		}
-		ok := "yes"
-		if !r.Healthy {
-			ok = "NO"
-			healthy = false
-		}
-		fmt.Printf("%-16s %-10d %-8d %-8d %-8s %-12d %-10s %-8s %s\n",
-			entry, r.PageSize, r.PageCount, r.Deduped,
-			fmt.Sprintf("%.0f%%", r.DedupRatio*100), r.TotalBytes, status, ok, r.Problem)
+		fmt.Printf("%-28s %-8d %-8d %-8s %-12d %-10s %-16s %s\n", h.Manifest, h.PageCount, h.Deduped,
+			fmt.Sprintf("%.0f%%", ratio*100), h.TotalBytes, chain, h.Status, h.Detail)
+		healthy = healthy && !h.Damaged
 	}
 	if sum, err := aickpt.InspectChain(dir); err == nil {
-		fmt.Printf("\nchain: %d live segment(s), %d B live", sum.LiveSegments, sum.LiveBytes)
+		fmt.Printf("\nchain: %d B pages, %d live segment(s), %d B live", sum.PageSize, sum.LiveSegments, sum.LiveBytes)
 		if sum.HasBase {
 			fmt.Printf(", base covers epochs [%d,%d]", sum.BaseFrom, sum.BaseTo)
 		}
@@ -138,8 +134,8 @@ func main() {
 		}
 	}
 	if im, err := aickpt.Restore(dir); err == nil {
-		fmt.Printf("\nrestart point: epoch %d (%d distinct pages, %d B page size, %d segment(s) read)\n",
-			im.Epoch, len(im.PageIDs()), im.PageSize, im.SegmentsRead())
+		fmt.Printf("\nrestart point: epoch %d (%d distinct pages, %d segment(s) read)\n",
+			im.Epoch, len(im.PageIDs()), im.SegmentsRead())
 	} else {
 		fmt.Printf("\nrestore would fail: %v\n", err)
 	}

@@ -334,15 +334,6 @@ func (c *Chain) validatePageSize() error {
 	return nil
 }
 
-// ReadBasePages reads a committed base segment back in full, verifying
-// record integrity.
-func ReadBasePages(fs FS, m Manifest) (PageSet, error) {
-	if m.Base == nil {
-		return PageSet{}, fmt.Errorf("ckpt: manifest for epoch %d is not a base", m.Epoch)
-	}
-	return readSegment(fs, m)
-}
-
 // WriteBase consolidates a folded image into a committed base segment
 // covering [from, to]. The write is crash-safe: the segment is written
 // first (an unsealed base segment is invisible to LoadChain), and the

@@ -141,10 +141,10 @@ func TestMixedPageSizeChainRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, call := range map[string]func() error{
-		"Restore":    func() error { _, err := Restore(fs); return err },
-		"ListSealed": func() error { _, err := ListSealed(fs); return err },
-		"LoadChain":  func() error { _, err := LoadChain(fs); return err },
-		"Inspect":    func() error { _, err := Inspect(fs); return err },
+		"Restore":     func() error { _, err := Restore(fs); return err },
+		"ListSealed":  func() error { _, err := ListSealed(fs); return err },
+		"LoadChain":   func() error { _, err := LoadChain(fs); return err },
+		"VerifyChain": func() error { _, err := VerifyChain(fs); return err },
 	} {
 		err := call()
 		if err == nil {
@@ -184,7 +184,7 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if man.Base == nil || man.Base.From != 1 || man.Base.To != 2 || man.PageCount != 2 {
 		t.Fatalf("base manifest = %+v", man)
 	}
-	pages, err := ReadBasePages(fs, man)
+	pages, _, err := FoldChain(fs, []Manifest{man}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,32 +365,36 @@ func TestLastSealedEpochErrorPaths(t *testing.T) {
 	}
 }
 
+// TestInspectErrorPaths: what the inspection tool's check (VerifyChain)
+// reports for a lost segment, a torn or interior-corrupt manifest, and a
+// record only the decoder can find wrong.
 func TestInspectErrorPaths(t *testing.T) {
 	t.Run("missing segment", func(t *testing.T) {
 		fs := &MemFS{}
 		r := NewRepository(fs, 32)
 		sealEpoch(t, r, 1, 32, map[int]byte{0: 0x42})
 		fs.Drop(segmentName(1))
-		infos, err := Inspect(fs)
-		if err != nil || len(infos) != 1 || infos[0].SegmentOK {
-			t.Fatalf("infos = %+v err = %v", infos, err)
+		hs, err := VerifyChain(fs)
+		if err != nil || len(hs) != 1 || hs[0].Status != StatusSegmentMissing || !hs[0].Damaged {
+			t.Fatalf("health = %+v err = %v", hs, err)
 		}
 	})
 	t.Run("truncated manifest", func(t *testing.T) {
 		fs := &MemFS{}
 		r := NewRepository(fs, 32)
 		sealEpoch(t, r, 1, 32, map[int]byte{0: 0x42})
-		// Torn tail (no newer intact epoch): the epoch never sealed, so
-		// Inspect sees an empty chain rather than an error.
+		// Torn tail (no newer intact epoch): the epoch never sealed, so it
+		// is reported but is not damage.
 		fs.Truncate(manifestName(1), 7)
-		infos, err := Inspect(fs)
-		if err != nil || len(infos) != 0 {
-			t.Fatalf("torn tail: infos = %+v err = %v, want empty chain", infos, err)
+		hs, err := VerifyChain(fs)
+		if err != nil || len(hs) != 1 || hs[0].Status != StatusTornTail || hs[0].Damaged {
+			t.Fatalf("torn tail: health = %+v err = %v, want one undamaged torn tail", hs, err)
 		}
-		// Interior corruption (epoch 2 proves epoch 1 was sealed): error.
+		// Interior corruption (epoch 2 proves epoch 1 was sealed): damage.
 		sealEpoch(t, r, 2, 32, map[int]byte{0: 0x43})
-		if _, err := Inspect(fs); err == nil {
-			t.Fatal("Inspect accepted an interior corrupt manifest")
+		hs, err = VerifyChain(fs)
+		if err != nil || len(hs) != 2 || hs[0].Status != StatusManifestCorrupt || !hs[0].Damaged {
+			t.Fatalf("interior: health = %+v err = %v, want epoch 1 manifest-corrupt", hs, err)
 		}
 	})
 	t.Run("corrupt codec byte", func(t *testing.T) {
@@ -409,9 +413,9 @@ func TestInspectErrorPaths(t *testing.T) {
 		h.Write(payload)
 		binary.LittleEndian.PutUint64(seg[12:20], h.Sum64())
 		fs.mu.Unlock()
-		infos, err := Inspect(fs)
-		if err != nil || len(infos) != 1 || infos[0].SegmentOK {
-			t.Fatalf("infos = %+v err = %v", infos, err)
+		hs, err := VerifyChain(fs)
+		if err != nil || len(hs) != 1 || hs[0].Status != StatusSegmentCorrupt {
+			t.Fatalf("health = %+v err = %v", hs, err)
 		}
 		if _, err := Restore(fs); err == nil {
 			t.Fatal("Restore decoded an unknown codec byte")

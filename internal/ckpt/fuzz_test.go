@@ -37,10 +37,11 @@ func buildRecord(page int, payload []byte) []byte {
 	return rec
 }
 
-// FuzzVisitSegment feeds arbitrary segment bytes (with a manifest claiming
-// pageCount records of pageSize bytes) to the record parser. It must reject
-// or accept them without panicking, and every accepted record must be
-// self-consistent with the declared page size.
+// FuzzVisitSegment feeds arbitrary segment bytes to VerifyChain's per-entry
+// check, under a manifest claiming pageCount records of pageSize bytes whose
+// page list is read off the records' own headers where there are any. It
+// must reject or accept them without panicking, and a segment it accepts
+// must restore: the fold reads it back as pages of pageSize bytes.
 func FuzzVisitSegment(f *testing.F) {
 	valid := append(buildRecord(0, bytes.Repeat([]byte{0xaa}, 16)), buildRecord(3, bytes.Repeat([]byte{0xbb}, 16))...)
 	f.Add(valid, 16, 2)
@@ -54,17 +55,25 @@ func FuzzVisitSegment(f *testing.F) {
 			t.Skip()
 		}
 		fs := &MemFS{}
-		man := Manifest{Epoch: 1, PageSize: pageSize, PageCount: pageCount, TotalBytes: int64(len(seg))}
+		man := Manifest{Epoch: 1, PageSize: pageSize, PageCount: pageCount, TotalBytes: int64(len(seg)),
+			Pages: make([]int, pageCount)}
+		for r, off := 0, 0; r < pageCount && off+recordHeaderSize <= len(seg); r++ {
+			man.Pages[r] = int(binary.LittleEndian.Uint32(seg[off+4:]))
+			off += recordHeaderSize + int(binary.LittleEndian.Uint32(seg[off+8:]))
+		}
 		putFile(t, fs, segmentName(1), seg)
-		err := scanSegment(fs, man, func(page int, data []byte) {
+		if verifySegment(fs, man) != nil {
+			return // malformed segments must error, not panic
+		}
+		pages, _, err := FoldChain(fs, []Manifest{man}, 1)
+		if err != nil {
+			t.Fatalf("verified segment does not fold: %v", err)
+		}
+		for id, data := range pages.All() {
 			if len(data) != pageSize {
-				t.Fatalf("visited record of %d bytes, page size %d", len(data), pageSize)
+				t.Fatalf("page %d folded to %d bytes, page size %d", id, len(data), pageSize)
 			}
-			if page < 0 {
-				t.Fatalf("visited negative page %d", page)
-			}
-		})
-		_ = err // malformed segments must error, not panic
+		}
 	})
 }
 
@@ -158,8 +167,8 @@ func FuzzManifestDecode(f *testing.F) {
 			return
 		}
 		_, _ = Restore(fs)
-		if _, err := Inspect(fs); err != nil {
-			t.Fatalf("Inspect errored on a loadable chain: %v", err)
+		if _, err := VerifyChain(fs); err != nil {
+			t.Fatalf("VerifyChain errored on a chain the strict loader accepts: %v", err)
 		}
 		for _, m := range ch.Epochs {
 			_, _, _ = EpochPages(fs, m.Epoch)

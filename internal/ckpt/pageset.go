@@ -56,51 +56,11 @@ func (s *PageSet) Equal(o *PageSet) bool {
 	return slices.Equal(s.ids, o.ids) && slices.EqualFunc(s.pages, o.pages, bytes.Equal)
 }
 
-// Append adds a page in arrival order — segment records are in flush order,
-// not page order. Get, All, IDs and Merge are meaningful only once Sort has
-// run after the last out-of-order Append. The set keeps data, not a copy.
+// Append adds a page above every page already in the set: ids must be
+// appended in ascending order. The set keeps data, not a copy.
 func (s *PageSet) Append(id int, data []byte) {
 	s.ids = append(s.ids, id)
 	s.pages = append(s.pages, data)
-}
-
-// Sort puts appended pages into ascending id order. An id appended more
-// than once keeps its last record, as a later write to a map slot would.
-func (s *PageSet) Sort() {
-	if s.ascending() {
-		return
-	}
-	sort.Stable((*byID)(s))
-	n := 0
-	for i, id := range s.ids {
-		if i+1 < len(s.ids) && s.ids[i+1] == id {
-			continue
-		}
-		s.ids[n], s.pages[n] = id, s.pages[i]
-		n++
-	}
-	clear(s.pages[n:])
-	s.ids, s.pages = s.ids[:n], s.pages[:n]
-}
-
-// ascending reports whether the ids strictly ascend; a duplicate counts as
-// out of order, so Sort's fast path never skips the deduplication.
-func (s *PageSet) ascending() bool {
-	for i := 1; i < len(s.ids); i++ {
-		if s.ids[i] <= s.ids[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-type byID PageSet
-
-func (s *byID) Len() int           { return len(s.ids) }
-func (s *byID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *byID) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.pages[i], s.pages[j] = s.pages[j], s.pages[i]
 }
 
 // Merge folds newer over s, newest content wins: a page in both takes

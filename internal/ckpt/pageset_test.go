@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -14,11 +16,10 @@ func pageAt(s *PageSet, id int) []byte {
 
 // pageSetOf builds a set from a map literal.
 func pageSetOf(m map[int][]byte) *PageSet {
-	var s PageSet
-	for id, data := range m {
-		s.Append(id, data)
+	s := NewPageSet(len(m))
+	for _, id := range slices.Sorted(maps.Keys(m)) {
+		s.Append(id, m[id])
 	}
-	s.Sort()
 	return &s
 }
 
@@ -28,13 +29,14 @@ type rec struct {
 	tag byte
 }
 
+// setOf builds a set from records in any order, a later record of an id
+// replacing an earlier one.
 func setOf(recs []rec) *PageSet {
-	s := NewPageSet(len(recs))
+	m := map[int][]byte{}
 	for _, r := range recs {
-		s.Append(r.id, []byte{r.tag})
+		m[r.id] = []byte{r.tag}
 	}
-	s.Sort()
-	return &s
+	return pageSetOf(m)
 }
 
 // contents lists a set as records, through the ordered iterator.
@@ -46,11 +48,13 @@ func contents(s *PageSet) []rec {
 	return out
 }
 
+// A segment's records are in flush order; reading the epoch back hands over
+// a set in page order, a page written twice keeping its later record.
 func TestPageSetSortAndGet(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		append []rec
-		want   []rec // iteration order after Sort
+		append []rec // WritePage calls, in flush order
+		want   []rec // iteration order of the set read back
 		holes  []int
 	}{
 		{"empty", nil, []rec{}, []int{0, 7}},
@@ -60,7 +64,22 @@ func TestPageSetSortAndGet(t *testing.T) {
 		{"adjacent duplicate in ascending input", []rec{{1, 'a'}, {1, 'b'}, {2, 'c'}}, []rec{{1, 'b'}, {2, 'c'}}, []int{0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := setOf(tc.append)
+			const pageSize = 16
+			fs := &MemFS{}
+			r := NewRepository(fs, pageSize)
+			for _, w := range tc.append {
+				if err := r.WritePage(1, w.id, page(w.tag, pageSize), pageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.EndEpoch(1); err != nil {
+				t.Fatal(err)
+			}
+			_, set, err := EpochPages(fs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &set
 			if got := contents(s); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("iteration = %v, want %v", got, tc.want)
 			}

@@ -67,16 +67,6 @@ type Manifest struct {
 // DedupCount returns the number of pages the epoch elided via dedup.
 func (m *Manifest) DedupCount() int { return len(m.Refs) }
 
-// DedupRatio returns the fraction of the epoch's dirty pages that were
-// elided via dedup (0 when the epoch wrote nothing).
-func (m *Manifest) DedupRatio() float64 {
-	total := m.PageCount + len(m.Refs)
-	if total == 0 {
-		return 0
-	}
-	return float64(len(m.Refs)) / float64(total)
-}
-
 // segmentBufSize is the size of a segment writer's one buffer, and so of
 // every write(2) a segment receives. 32 KiB turns eight 4 KiB records into
 // one system call, which is nearly all there is to gain: a bare

@@ -130,12 +130,12 @@ func TestRestoreDetectsCorruption(t *testing.T) {
 	if _, err := Restore(fs); err == nil {
 		t.Fatal("corrupted segment restored without error")
 	}
-	infos, err := Inspect(fs)
+	health, err := VerifyChain(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].SegmentOK {
-		t.Errorf("Inspect missed corruption: %+v", infos)
+	if len(health) != 1 || health[0].Status != StatusSegmentCorrupt {
+		t.Errorf("VerifyChain missed corruption: %+v", health)
 	}
 }
 
@@ -284,10 +284,10 @@ func TestCompressedRepositoryRoundTrip(t *testing.T) {
 		if segLen >= 2*(20+256) {
 			t.Errorf("codec %d: segment %d bytes, no compression happened", codec, segLen)
 		}
-		// Inspect must verify compressed epochs too.
-		infos, err := Inspect(fs)
-		if err != nil || len(infos) != 1 || !infos[0].SegmentOK {
-			t.Errorf("codec %d: inspect failed: %v %+v", codec, err, infos)
+		// VerifyChain must verify compressed epochs too.
+		health, err := VerifyChain(fs)
+		if err != nil || len(health) != 1 || health[0].Status != StatusOK {
+			t.Errorf("codec %d: verify failed: %v %+v", codec, err, health)
 		}
 	}
 }

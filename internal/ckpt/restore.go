@@ -54,16 +54,6 @@ func (im *Image) PageOr(page int) []byte {
 	return zeroPage(im.PageSize)
 }
 
-// EpochInfo summarizes a sealed epoch or base for inspection tools.
-type EpochInfo struct {
-	Manifest
-	SegmentOK bool   // segment parsed and all hashes verified
-	Err       string // parse/verification failure, if any
-	// Superseded marks entries covered by a newer committed base: they are
-	// ignored by restore and reclaimable by garbage collection.
-	Superseded bool
-}
-
 // recordHeaderSize is the framing every segment record starts with (see
 // the record format in repo.go).
 const recordHeaderSize = 20
@@ -88,84 +78,6 @@ func parseRecordHeader(m *Manifest, hdr []byte) (page, size int, sum uint64, err
 		return page, size, sum, fmt.Errorf("invalid record size %d", size)
 	}
 	return page, size, sum, nil
-}
-
-// scanSegment parses one manifest's segment (epoch or base), verifying every
-// record's framing and payload hash and decoding transparently, and calls
-// visit for every record in file order. It is the full read that drains,
-// inspection and scrub need; restore reads only winners (FoldChain).
-// Verification passes a visit that keeps nothing, so a scrub never holds
-// more than one record.
-func scanSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
-	if m.PageCount == 0 {
-		return nil
-	}
-	f, err := fs.Open(segmentFile(m))
-	if err != nil {
-		return fmt.Errorf("ckpt: epoch %d sealed but segment missing: %w", m.Epoch, err)
-	}
-	defer f.Close()
-	var hdr [recordHeaderSize]byte
-	// With a codec, the encoded payload is scratch (only the decoded copy
-	// reaches visit), so one recycled buffer serves every record; without
-	// one, the payload itself is handed to visit, which may retain it, so
-	// it must be freshly allocated per record.
-	var scratch []byte
-	count := 0
-	for {
-		_, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("ckpt: epoch %d: truncated record header: %w", m.Epoch, err)
-		}
-		page, size, want, err := parseRecordHeader(&m, hdr[:])
-		if err != nil {
-			return fmt.Errorf("ckpt: epoch %d record %d: %w", m.Epoch, count, err)
-		}
-		var data []byte
-		if m.Codec != 0 {
-			if cap(scratch) < size {
-				scratch = make([]byte, m.PageSize+1)
-			}
-			data = scratch[:size]
-		} else {
-			data = make([]byte, size)
-		}
-		if _, err := io.ReadFull(f, data); err != nil {
-			return fmt.Errorf("ckpt: epoch %d page %d: truncated payload: %w", m.Epoch, page, err)
-		}
-		if util.Fnv64a(data) != want {
-			return fmt.Errorf("ckpt: epoch %d page %d: hash mismatch", m.Epoch, page)
-		}
-		if m.Codec != 0 {
-			decoded, err := compress.Decode(data, m.PageSize)
-			if err != nil {
-				return fmt.Errorf("ckpt: epoch %d page %d: %w", m.Epoch, page, err)
-			}
-			data = decoded
-		}
-		visit(page, data)
-		count++
-	}
-	if count != m.PageCount {
-		return fmt.Errorf("ckpt: epoch %d: segment has %d records, manifest says %d", m.Epoch, count, m.PageCount)
-	}
-	return nil
-}
-
-// readSegment reads one manifest's segment (epoch or base) back in full as
-// a PageSet. Records are in flush order; they are sorted once here.
-func readSegment(fs FS, m Manifest) (PageSet, error) {
-	// len(m.Pages), not m.PageCount, sizes the set: it is bounded by the
-	// manifest file actually read, whatever the count field claims.
-	pages := NewPageSet(len(m.Pages))
-	if err := scanSegment(fs, m, pages.Append); err != nil {
-		return PageSet{}, err
-	}
-	pages.Sort()
-	return pages, nil
 }
 
 // RestoreOptions tunes Restore.
@@ -214,21 +126,21 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 	return &Image{PageSize: ch.PageSize, Epoch: last, Pages: pages, SegmentsRead: segments}, nil
 }
 
-// FoldChain is the one chain fold: it folds entries — a base and the epochs
-// after it, oldest first — into the newest content of every page, reading
-// and verifying only that newest copy, on up to workers concurrent readers;
-// the result is the same for any width. It returns how many segments owned
-// at least one winner: the only ones it opens. Restore and the compactor
-// both fold with it.
+// FoldChain is the one chain fold and the one segment reader: it folds
+// entries — a base and the epochs after it, oldest first — into the newest
+// content of every page, reading and verifying only that newest copy, on up
+// to workers concurrent readers; the result is the same for any width. It
+// returns how many segments owned at least one winner: the only ones it
+// opens. Restore and the compactor fold with it, and a fold of one entry is
+// a full read of it (EpochPages, the hierarchy's base reads).
 //
 // The manifests alone decide the winners (pickWinners). Every record the
-// fold uses is verified as scanSegment verifies it — framing, size, payload
-// hash, decode — and also against its manifest: the header names the
-// manifest's page, and, for a raw record under a v2 manifest, the record
-// hash is the manifest's content hash. A bad winner fails the fold, naming
-// its epoch and page; older content never stands in for it. Records a
-// newer copy supersedes are neither hashed nor decoded, so damage to them
-// is scrub's to find, not restore's.
+// fold uses is verified — framing, size, payload hash, decode — and also
+// against its manifest: the header names the manifest's page, and, for a
+// raw record under a v2 manifest, the record hash is the manifest's content
+// hash. A bad winner fails the fold, naming its epoch and page; older
+// content never stands in for it. Records a newer copy supersedes are
+// neither hashed nor decoded; VerifyChain reads them with the same checks.
 func FoldChain(fs FS, entries []Manifest, workers int) (PageSet, int, error) {
 	picks, ids, err := pickWinners(entries)
 	if err != nil {
@@ -264,8 +176,8 @@ func pickWinners(entries []Manifest) (picks []pick, ids []int, err error) {
 	hint := 0
 	for i := range entries {
 		m := &entries[i]
-		if len(m.Pages) != m.PageCount {
-			return nil, nil, fmt.Errorf("ckpt: epoch %d: manifest lists %d pages, page count %d", m.Epoch, len(m.Pages), m.PageCount)
+		if err := checkPageCount(m); err != nil {
+			return nil, nil, err
 		}
 		hint = max(hint, len(m.Pages))
 	}
@@ -289,6 +201,15 @@ func pickWinners(entries []Manifest) (picks []pick, ids []int, err error) {
 		return cmp.Or(cmp.Compare(a.entry, b.entry), cmp.Compare(a.rec, b.rec))
 	})
 	return picks, ids, nil
+}
+
+// checkPageCount rejects a manifest whose page list and page count
+// disagree: readers address a record by its index in the list.
+func checkPageCount(m *Manifest) error {
+	if len(m.Pages) != m.PageCount {
+		return fmt.Errorf("ckpt: epoch %d: manifest lists %d pages, page count %d", m.Epoch, len(m.Pages), m.PageCount)
+	}
+	return nil
 }
 
 // minUnitRecords is the smallest chunk a raw segment's winners are split
@@ -331,11 +252,13 @@ func foldUnits(entries []Manifest, picks []pick, workers int) (units []foldUnit,
 	return units, segments
 }
 
-// read verifies the unit's winners and stores each in its own slot of
+// read verifies the unit's records and stores each in its own slot of
 // pages. Raw records all have one size, so the cursor goes straight to each
-// winner; a coded segment's records are found by walking its headers from
-// the start, passing over the payloads of records the fold does not use.
-// Adjacent winners share the cursor's buffered reads.
+// one; a coded segment's records are found by walking its headers from the
+// start, passing over the payloads of records the unit does not use.
+// Adjacent records share the cursor's buffered reads. With pages nil the
+// read is a verification (verifySegment): it keeps no record and checks
+// that the segment ends at the unit's last record.
 func (u foldUnit) read(fs FS, pages [][]byte) error {
 	m := u.m
 	f, err := fs.Open(segmentFile(*m))
@@ -344,10 +267,7 @@ func (u foldUnit) read(fs FS, pages [][]byte) error {
 	}
 	defer f.Close()
 	c := segmentCursor{f: f, br: bufio.NewReaderSize(f, segmentBufSize)}
-	var scratch []byte // a coded payload: only its decoded copy is kept
-	if m.Codec != 0 {
-		scratch = make([]byte, m.PageSize+1)
-	}
+	var scratch []byte // payloads nothing keeps; see record
 	rec := 0
 	for _, p := range u.picks {
 		if m.Codec == 0 {
@@ -364,22 +284,37 @@ func (u foldUnit) read(fs FS, pages [][]byte) error {
 			}
 		}
 		if err == nil {
-			pages[p.slot], err = u.winner(&c, p, scratch)
+			var data []byte
+			data, err = u.record(&c, p, &scratch, pages != nil)
+			if pages != nil {
+				pages[p.slot] = data
+			}
 			rec++
 		}
 		if err != nil {
 			return fmt.Errorf("ckpt: epoch %d page %d: %w", m.Epoch, p.page, err)
 		}
 	}
-	return nil
+	if pages != nil {
+		return nil
+	}
+	switch _, err := c.br.ReadByte(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return fmt.Errorf("ckpt: epoch %d: segment goes on past its %d records", m.Epoch, len(u.picks))
+	default:
+		return fmt.Errorf("ckpt: epoch %d: %w", m.Epoch, err)
+	}
 }
 
-// winner reads and verifies the record at the cursor, pick p: framing and
+// record reads and verifies the record at the cursor, pick p: framing and
 // size, that the header names the manifest's page, the payload hash, the
-// decode, and, for a raw record, the v2 manifest's content hash. It returns
-// the page's content in its own allocation, so that a set never pins a
-// segment.
-func (u foldUnit) winner(c *segmentCursor, p pick, scratch []byte) ([]byte, error) {
+// decode, and, for a raw record, the v2 manifest's content hash. A page the
+// caller keeps comes back in its own allocation, so that a set never pins a
+// segment; a payload nothing keeps — a coded one, or any record of a
+// verification — goes through *scratch, allocated once per read.
+func (u foldUnit) record(c *segmentCursor, p pick, scratch *[]byte, keep bool) ([]byte, error) {
 	m := u.m
 	page, size, sum, err := c.header(m)
 	if err != nil {
@@ -389,10 +324,13 @@ func (u foldUnit) winner(c *segmentCursor, p pick, scratch []byte) ([]byte, erro
 		return nil, fmt.Errorf("record %d holds page %d, manifest says %d", p.rec, page, p.page)
 	}
 	var data []byte
-	if m.Codec == 0 {
+	if m.Codec == 0 && keep {
 		data = make([]byte, size) // the payload is the page
 	} else {
-		data = scratch[:size]
+		if cap(*scratch) < size {
+			*scratch = make([]byte, m.PageSize+1)
+		}
+		data = (*scratch)[:size]
 	}
 	if err := c.read(data); err != nil {
 		return nil, fmt.Errorf("truncated payload: %w", err)
@@ -478,18 +416,19 @@ func ReadManifest(fs FS, epoch uint64) (Manifest, error) {
 	return m, nil
 }
 
-// EpochPages reads one sealed epoch back in full, verifying record
-// integrity, and returns its manifest plus the set of its *physical*
-// records (deduplicated pages are listed in the manifest's Refs but carry
-// no data — the content they reference is already in the chain). The
-// multi-level drainer uses it to promote a sealed epoch from the fast tier
-// to slower, more resilient tiers.
+// EpochPages reads one sealed epoch back in full — FoldChain over that one
+// entry, so every record is checked as restore checks it and a page written
+// twice keeps its later record — and returns its manifest plus the set of
+// its *physical* records (deduplicated pages are listed in the manifest's
+// Refs but carry no data — the content they reference is already in the
+// chain). The multi-level drainer uses it to promote a sealed epoch from
+// the fast tier to slower, more resilient tiers.
 func EpochPages(fs FS, epoch uint64) (Manifest, PageSet, error) {
 	m, err := ReadManifest(fs, epoch)
 	if err != nil {
 		return Manifest{}, PageSet{}, err
 	}
-	pages, err := readSegment(fs, m)
+	pages, _, err := FoldChain(fs, []Manifest{m}, 1)
 	if err != nil {
 		return Manifest{}, PageSet{}, err
 	}
@@ -509,36 +448,4 @@ func LastSealedEpoch(fs FS) (epoch uint64, ok bool, err error) {
 	}
 	epoch, ok = ch.LastEpoch()
 	return epoch, ok, nil
-}
-
-// Inspect verifies every chain entry — live epochs, the committed base, and
-// not-yet-collected superseded entries — and reports per-entry health; it
-// is the engine behind cmd/ckpt-inspect.
-func Inspect(fs FS) ([]EpochInfo, error) {
-	ch, err := LoadChain(fs)
-	if err != nil {
-		return nil, err
-	}
-	var infos []EpochInfo
-	add := func(m Manifest, superseded bool) {
-		info := EpochInfo{Manifest: m, SegmentOK: true, Superseded: superseded}
-		if err := scanSegment(fs, m, func(int, []byte) {}); err != nil {
-			info.SegmentOK = false
-			info.Err = err.Error()
-		}
-		infos = append(infos, info)
-	}
-	for _, m := range ch.StaleBases {
-		add(m, true)
-	}
-	for _, m := range ch.Superseded {
-		add(m, true)
-	}
-	if ch.Base != nil {
-		add(*ch.Base, false)
-	}
-	for _, m := range ch.Epochs {
-		add(m, false)
-	}
-	return infos, nil
 }

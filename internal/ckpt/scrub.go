@@ -22,13 +22,14 @@ const (
 	StatusManifestCorrupt = "manifest-corrupt"
 	// StatusSegmentMissing: a sealed manifest whose segment file is gone.
 	StatusSegmentMissing = "segment-missing"
-	// StatusSegmentCorrupt: a segment whose records fail verification
-	// (bad magic, truncated tail, payload hash mismatch, record count).
+	// StatusSegmentCorrupt: a segment whose records fail the checks restore
+	// makes (framing, size, payload hash, decode, page id or content hash
+	// against the manifest) or that goes on past its last record.
 	StatusSegmentCorrupt = "segment-corrupt"
 )
 
-// SegmentHealth is one VerifyChain finding: the health of one live chain
-// entry (or one unloadable manifest).
+// SegmentHealth is one VerifyChain finding: the health of one chain entry
+// (or one unloadable manifest).
 type SegmentHealth struct {
 	// Manifest is the manifest file name.
 	Manifest string `json:"manifest"`
@@ -43,20 +44,28 @@ type SegmentHealth struct {
 	Status string `json:"status"`
 	// Detail carries the verification error for non-ok statuses.
 	Detail string `json:"detail,omitempty"`
-	// PageCount is the entry's physical record count (0 when the manifest
-	// is unreadable).
-	PageCount int `json:"page_count"`
+	// PageCount is the entry's physical record count and TotalBytes its
+	// segment size (both 0 when the manifest is unreadable); Deduped counts
+	// the page writes it recorded as references instead.
+	PageCount  int   `json:"page_count"`
+	TotalBytes int64 `json:"total_bytes"`
+	Deduped    int   `json:"deduped,omitempty"`
+	// Superseded marks an entry a newer committed base covers: an epoch or
+	// an older base awaiting garbage collection. Restore never reads it, so
+	// its damage is reported but never Damaged.
+	Superseded bool `json:"superseded,omitempty"`
 	// Damaged reports whether the entry needs repair (torn tails do not:
 	// they were never sealed).
 	Damaged bool `json:"damaged,omitempty"`
 }
 
-// VerifyChain is a read-only scrub of the live chain: it loads whatever
+// VerifyChain is a read-only scrub of the chain: it loads whatever
 // manifests decode, classifies the ones that do not (torn tail vs interior
-// corruption), and re-reads every live segment — base plus live epochs —
-// verifying record magic, sizes, payload hashes and record counts against
-// the manifest. It mutates nothing; Scrub layers quarantine and repair on
-// top of its findings.
+// corruption), and reads every record of every segment — stale bases and
+// superseded epochs, then the base and the live epochs — through the
+// fold's reader (verifySegment), so it makes every check restore makes. It
+// mutates nothing; Scrub layers quarantine and repair on top of its
+// findings.
 func VerifyChain(fs FS) ([]SegmentHealth, error) {
 	ch, issues, err := LoadChainLenient(fs)
 	if err != nil {
@@ -75,34 +84,52 @@ func VerifyChain(fs FS) ([]SegmentHealth, error) {
 		}
 		out = append(out, h)
 	}
-	check := func(m Manifest) {
+	check := func(m Manifest, superseded bool) {
 		h := SegmentHealth{
-			Manifest:  manifestFile(m),
-			Epoch:     m.Epoch,
-			IsBase:    m.Base != nil,
-			Status:    StatusOK,
-			PageCount: m.PageCount,
+			Manifest:   manifestFile(m),
+			Epoch:      m.Epoch,
+			IsBase:     m.Base != nil,
+			Status:     StatusOK,
+			PageCount:  m.PageCount,
+			TotalBytes: m.TotalBytes,
+			Deduped:    m.DedupCount(),
+			Superseded: superseded,
 		}
 		if m.PageCount > 0 {
 			h.Segment = segmentFile(m)
 		}
-		if err := scanSegment(fs, m, func(int, []byte) {}); err != nil {
+		if err := verifySegment(fs, m); err != nil {
+			h.Status = StatusSegmentCorrupt
 			if errors.Is(err, iofs.ErrNotExist) {
 				h.Status = StatusSegmentMissing
-			} else {
-				h.Status = StatusSegmentCorrupt
 			}
-			h.Detail, h.Damaged = err.Error(), true
+			h.Detail, h.Damaged = err.Error(), !superseded
 		}
 		out = append(out, h)
 	}
-	if ch.Base != nil {
-		check(*ch.Base)
+	for _, m := range append(ch.StaleBases, ch.Superseded...) {
+		check(m, true)
 	}
-	for _, m := range ch.Epochs {
-		check(m)
+	for _, m := range ch.Live() {
+		check(m, false)
 	}
 	return out, nil
+}
+
+// verifySegment reads every record of m's segment in file order — an
+// earlier copy of a page written twice included — through the fold's
+// reader with no slots to fill, so it makes every check restore makes of a
+// record while holding one record at a time, and checks that the segment
+// ends at its last record.
+func verifySegment(fs FS, m Manifest) error {
+	if err := checkPageCount(&m); err != nil || m.PageCount == 0 {
+		return err
+	}
+	picks := make([]pick, len(m.Pages))
+	for r, page := range m.Pages {
+		picks[r] = pick{page: page, rec: r}
+	}
+	return foldUnit{m: &m, picks: picks}.read(fs, nil)
 }
 
 // QuarantinePrefix is prepended to a quarantined file's name. The prefix

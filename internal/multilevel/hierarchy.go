@@ -497,7 +497,7 @@ func (h *Hierarchy) drainOne(ti int, job drainJob) {
 		if ep == nil {
 			if job.base != nil {
 				var pages ckpt.PageSet
-				pages, err = ckpt.ReadBasePages(h.local.FS(), *job.base)
+				pages, _, err = ckpt.FoldChain(h.local.FS(), []ckpt.Manifest{*job.base}, 1)
 				if err == nil {
 					ep = &EpochData{Epoch: job.epoch, PageSize: h.pageSize, Pages: pages}
 				}

@@ -76,7 +76,7 @@ func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep,
 	if ch, err := ckpt.LoadChain(h.local.FS()); err == nil && ch.Base != nil {
 		b := ch.Base.Base
 		r := epochLoad{from: h.local.Name(), start: h.obs.Now()}
-		pages, err := ckpt.ReadBasePages(h.local.FS(), *ch.Base)
+		pages, _, err := ckpt.FoldChain(h.local.FS(), []ckpt.Manifest{*ch.Base}, 1)
 		r.end = h.obs.Now()
 		if err == nil {
 			r.ep = &EpochData{Epoch: b.To, PageSize: h.pageSize, Pages: pages}

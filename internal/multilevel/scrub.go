@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -37,61 +38,73 @@ type ScrubReport struct {
 	Entries  []ScrubEntry `json:"entries,omitempty"`
 }
 
-// Scrub verifies every live chain entry on the local tier — manifest
-// decode, record magic, payload hashes, record counts — and self-heals
-// what it can: damaged epochs are quarantined and rebuilt from the
-// fastest lower tier still holding them (peer erasure shards, then PFS),
-// a damaged base is re-folded from the per-epoch copies the lower tiers
-// kept, and tier copies abandoned after their retry budget (drain
-// failures) are re-enqueued for promotion so a recovered tier catches
-// back up. It is safe to run concurrently with active drains and seals:
-// verification is read-only, repairs publish atomically, and requeueing
-// takes the hierarchy lock. Under a virtual-time kernel it must be called
-// from a kernel process.
-func (h *Hierarchy) Scrub() (ScrubReport, error) {
+// ScrubChain is the one scrub loop: it verifies the chain on fs
+// (ckpt.VerifyChain), counts and lists its live entries' damage, and hands
+// each damaged entry to repair. Torn tails are listed and need nothing.
+// Superseded entries are verified but neither counted nor listed: restore
+// never reads them. With a nil repair every damaged entry stays
+// unrepaired, there being no redundant tier to rebuild it from. m may be
+// nil.
+func ScrubChain(fs ckpt.FS, m *obs.Metrics, repair func(*ScrubEntry, ckpt.SegmentHealth) error) (ScrubReport, error) {
 	var rep ScrubReport
-	fs := h.local.FS()
 	health, err := ckpt.VerifyChain(fs)
 	if err != nil {
 		return rep, fmt.Errorf("multilevel: scrub: %w", err)
 	}
-	rep.Checked = len(health)
-	if h.obs != nil {
-		h.obs.ScrubSegments.Add(uint64(len(health)))
-	}
 	for _, hs := range health {
+		if hs.Superseded {
+			continue
+		}
+		rep.Checked++
+		entry := ScrubEntry{Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail}
 		if !hs.Damaged {
 			if hs.Status == ckpt.StatusTornTail {
-				rep.Entries = append(rep.Entries, ScrubEntry{
-					Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail,
-				})
+				rep.Entries = append(rep.Entries, entry)
 			}
 			continue
 		}
 		rep.Corrupt++
-		if h.obs != nil {
-			h.obs.ScrubCorrupt.Inc()
-		}
-		entry := ScrubEntry{Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail}
-		var rerr error
-		if hs.IsBase {
-			rerr = h.repairBase(&entry, hs)
-		} else {
-			rerr = h.repairEpoch(&entry, hs)
+		rerr := errors.New("no redundant tier to rebuild from")
+		if repair != nil {
+			rerr = repair(&entry, hs)
 		}
 		if rerr == nil {
 			rep.Repaired++
-			if h.obs != nil {
-				h.obs.ScrubRepaired.Inc()
-			}
 		} else {
 			rep.Unrepaired++
 			entry.Action = "unrepaired: " + rerr.Error()
-			if h.obs != nil {
-				h.obs.ScrubUnrepaired.Inc()
-			}
 		}
 		rep.Entries = append(rep.Entries, entry)
+	}
+	if m != nil {
+		m.ScrubSegments.Add(uint64(rep.Checked))
+		m.ScrubCorrupt.Add(uint64(rep.Corrupt))
+		m.ScrubRepaired.Add(uint64(rep.Repaired))
+		m.ScrubUnrepaired.Add(uint64(rep.Unrepaired))
+	}
+	return rep, nil
+}
+
+// Scrub verifies every chain entry on the local tier with the checks
+// restore makes (ScrubChain) and self-heals what it can: damaged epochs
+// are quarantined and rebuilt from the fastest lower tier still holding
+// them (peer erasure shards, then PFS), a damaged base is re-folded from
+// the per-epoch copies the lower tiers kept, and tier copies abandoned
+// after their retry budget (drain failures) are re-enqueued for promotion
+// so a recovered tier catches back up. It is safe to run concurrently with
+// active drains and seals: verification is read-only, repairs publish
+// atomically, and requeueing takes the hierarchy lock. Under a
+// virtual-time kernel it must be called from a kernel process.
+func (h *Hierarchy) Scrub() (ScrubReport, error) {
+	fs := h.local.FS()
+	rep, err := ScrubChain(fs, h.obs, func(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
+		if hs.IsBase {
+			return h.repairBase(entry, hs)
+		}
+		return h.repairEpoch(entry, hs)
+	})
+	if err != nil {
+		return rep, err
 	}
 	// Re-enqueue gave-up tier copies. The base job (if one is needed)
 	// ships the base image, so its manifest is loaded before the lock.

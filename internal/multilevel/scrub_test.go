@@ -2,6 +2,8 @@ package multilevel
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +158,102 @@ func TestScrubRepairsInteriorManifest(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flipHeaderPage rewrites the header of record 0 — page 0 — of one epoch's
+// L1 segment to name page 4. The record hash covers only the payload, so
+// only a check of the header against the manifest tells.
+func flipHeaderPage(t *testing.T, fs ckpt.FS, epoch uint64) {
+	t.Helper()
+	if err := faultfs.FlipBit(fs, fmt.Sprintf("epoch-%08d.pages", epoch), 4*8+2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreFallsBackOnWrongHeaderPage: after the drain, an L1 record's
+// header names another page. Read from L1 the image would hold that page's
+// content under the wrong id, so the tier restore must take the epoch from
+// the lower tier, bit-identically, and scrub must find and repair it.
+func TestRestoreFallsBackOnWrongHeaderPage(t *testing.T) {
+	h, localFS, _ := scrubHierarchy(t)
+	want := restoreSnapshot(t, h)
+	flipHeaderPage(t, localFS, 3)
+	im, steps, err := h.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range steps {
+		tier := "local"
+		if s.Epoch == 3 {
+			tier = "pfs"
+		}
+		if s.Tier != tier {
+			t.Errorf("epoch %d restored from %q, want %s (%s)", s.Epoch, s.Tier, tier, s.Detail)
+		}
+	}
+	if im.Pages.Len() != len(want) {
+		t.Errorf("image holds %d pages, want %d", im.Pages.Len(), len(want))
+	}
+	for p, data := range want {
+		if !bytes.Equal(im.PageOr(p), data) {
+			t.Errorf("page %d differs from the undamaged image", p)
+		}
+	}
+	rep, err := h.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 1 || rep.Repaired != 1 || len(rep.Entries) != 1 || rep.Entries[0].Epoch != 3 {
+		t.Fatalf("report = %+v, want epoch 3 damaged and repaired", rep)
+	}
+	if got := restoreSnapshot(t, h); !maps.EqualFunc(got, want, bytes.Equal) {
+		t.Error("image differs after the repair")
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainRefusesWrongHeaderPage: an L1 record's header names another page
+// before the drain reads the epoch back. The drain must not ship that page
+// set: every tier copy ends failed, with its error recorded.
+func TestDrainRefusesWrongHeaderPage(t *testing.T) {
+	env := sim.NewRealEnv()
+	localFS := &ckpt.MemFS{}
+	repo := ckpt.NewRepository(localFS, pageSize)
+	for p := 0; p < 2; p++ {
+		if err := repo.WritePage(1, p, pageFill(p, 1), pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.EndEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	flipHeaderPage(t, localFS, 1)
+	// A hierarchy opened over this L1 drains the epoch it finds there.
+	h, err := New(Config{
+		Env: env, PageSize: pageSize,
+		Local: NewLocalTier(env, "local", localFS, pageSize, nil),
+		Lower: []Tier{
+			NewLocalTier(env, "pfs", &ckpt.MemFS{}, pageSize, nil),
+			NewLocalTier(env, "archive", &ckpt.MemFS{}, pageSize, nil),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.WaitDrained()
+	for _, tc := range h.Manifests()[0].Tiers[1:] {
+		if tc.State != StateFailed || tc.Err == "" {
+			t.Errorf("tier %s copy = %+v, want failed with its error", tc.Tier, tc)
+		}
+	}
+	if h.Err() == nil {
+		t.Error("Err() should surface the refused drain")
+	}
+	if err := h.Close(); err == nil {
+		t.Error("Close should return the drain error")
 	}
 }
 

@@ -76,59 +76,6 @@ func (rt *Runtime) LoadImage(im *Image, r *Region) error {
 	return nil
 }
 
-// Inspect verifies all sealed epochs in a repository directory and returns
-// a health report per epoch; it backs the ckpt-inspect tool.
-func Inspect(dir string) ([]EpochReport, error) {
-	fs, err := ckpt.OpenOSFS(dir)
-	if err != nil {
-		return nil, err
-	}
-	infos, err := ckpt.Inspect(fs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]EpochReport, len(infos))
-	for i, in := range infos {
-		out[i] = EpochReport{
-			Epoch:      in.Epoch,
-			PageSize:   in.PageSize,
-			PageCount:  in.PageCount,
-			TotalBytes: in.TotalBytes,
-			Healthy:    in.SegmentOK,
-			Problem:    in.Err,
-			Deduped:    in.DedupCount(),
-			DedupRatio: in.DedupRatio(),
-			Superseded: in.Superseded,
-		}
-		if in.Base != nil {
-			out[i].IsBase = true
-			out[i].BaseFrom, out[i].BaseTo = in.Base.From, in.Base.To
-		}
-	}
-	return out, nil
-}
-
-// EpochReport is the health summary of one chain entry: a sealed epoch or
-// a consolidated base segment.
-type EpochReport struct {
-	Epoch      uint64
-	PageSize   int
-	PageCount  int
-	TotalBytes int64
-	Healthy    bool
-	Problem    string
-	// Deduped counts the epoch's pages elided by content-addressed dedup;
-	// DedupRatio is Deduped over the epoch's total dirty pages.
-	Deduped    int
-	DedupRatio float64
-	// Superseded entries are covered by a newer consolidated base: restore
-	// ignores them and garbage collection will reclaim them.
-	Superseded bool
-	// IsBase marks a consolidated base segment covering [BaseFrom, BaseTo].
-	IsBase           bool
-	BaseFrom, BaseTo uint64
-}
-
 // ChainSummary condenses the repository chain: what the live chain holds,
 // what compaction has folded, and what garbage collection could still reclaim.
 type ChainSummary struct {

@@ -21,16 +21,21 @@ const (
 	HealthManifestCorrupt = ckpt.StatusManifestCorrupt
 	// HealthSegmentMissing: a sealed manifest whose segment file is gone.
 	HealthSegmentMissing = ckpt.StatusSegmentMissing
-	// HealthSegmentCorrupt: a segment whose records fail verification
-	// (bad magic, truncated tail, payload hash mismatch, record count).
+	// HealthSegmentCorrupt: a segment whose records fail the checks
+	// restore makes (framing, size, payload hash, decode, page id or
+	// content hash against the manifest) or that goes on past its last
+	// record.
 	HealthSegmentCorrupt = ckpt.StatusSegmentCorrupt
 )
 
 // SegmentHealth is one Verify finding, the health of one chain entry: its
 // Manifest and Segment file names, Epoch (a base's covering range ends
 // there), IsBase, a Status that is one of the Health* constants with the
-// verification error in Detail, the entry's PageCount, and Damaged —
-// whether it needs repair (torn tails do not: they were never sealed).
+// verification error in Detail, the entry's PageCount, TotalBytes (its
+// segment size) and Deduped (page writes recorded as references instead),
+// Superseded for an entry a newer base covers (restore never reads it, so
+// it is never Damaged), and Damaged — whether it needs repair (torn tails
+// do not: they were never sealed).
 type SegmentHealth = ckpt.SegmentHealth
 
 // ScrubEntry is one scrub finding and what the pass did about it: the
@@ -64,30 +69,7 @@ func (rt *Runtime) Scrub() (ScrubReport, error) {
 	case rt.hier != nil:
 		return rt.hier.Scrub()
 	case rt.fs != nil:
-		health, err := ckpt.VerifyChain(rt.fs)
-		if err != nil {
-			return ScrubReport{}, err
-		}
-		rep := ScrubReport{Checked: len(health)}
-		if rt.metrics != nil {
-			rt.metrics.ScrubSegments.Add(uint64(len(health)))
-		}
-		for _, hs := range health {
-			e := ScrubEntry{Epoch: hs.Epoch, IsBase: hs.IsBase, Status: hs.Status, Detail: hs.Detail}
-			if hs.Damaged {
-				rep.Corrupt++
-				rep.Unrepaired++
-				e.Action = "unrepaired: no redundant tier to rebuild from"
-				if rt.metrics != nil {
-					rt.metrics.ScrubCorrupt.Inc()
-					rt.metrics.ScrubUnrepaired.Inc()
-				}
-			} else if hs.Status == HealthOK {
-				continue
-			}
-			rep.Entries = append(rep.Entries, e)
-		}
-		return rep, nil
+		return multilevel.ScrubChain(rt.fs, rt.metrics, nil)
 	default:
 		return ScrubReport{}, errors.New("aickpt: Scrub needs a repository store (Options.Dir or Options.Tiers)")
 	}
@@ -95,7 +77,8 @@ func (rt *Runtime) Scrub() (ScrubReport, error) {
 
 // Verify runs a read-only integrity check over a checkpoint directory —
 // no runtime needed, nothing is modified: every chain entry's manifest is
-// decoded and every live segment's records are re-read and hash-verified.
+// decoded and every record of every segment, superseded ones included, is
+// re-read with the checks restore makes.
 // Corrupt manifests are classified as torn tails (crash artifacts, not
 // damage) or interior corruption exactly as restore would classify them.
 func Verify(dir string) ([]SegmentHealth, error) {
