@@ -56,7 +56,8 @@ const (
 	// NoPattern is asynchronous incremental checkpointing that flushes
 	// dirty pages in ascending address order.
 	NoPattern = core.NoPattern
-	// Sync blocks inside Checkpoint until all dirty pages are stored.
+	// Sync is NoPattern with Checkpoint blocking until all dirty pages
+	// are stored.
 	Sync = core.Sync
 )
 
@@ -93,16 +94,14 @@ type Options struct {
 	// DisableCow distinguishes "CowBuffer deliberately zero" from
 	// "CowBuffer left at its default".
 	DisableCow bool
-	// CommitWorkers sizes the parallel commit pipeline: the number of
-	// committer workers flushing dirty pages concurrently during an
-	// asynchronous checkpoint. Each worker pulls the next page in the
-	// adaptive flush order and performs the copy, hash, compression and
-	// storage write in parallel with its peers, so the background flush
-	// scales with the backend's aggregate bandwidth. 0 derives a default
-	// from GOMAXPROCS (capped at 8) — except with a custom Store, which
-	// defaults to 1 until the backend opts into the concurrency contract
-	// (see Store). 1 selects the serial committer of the original design.
-	// Ignored by the Sync strategy.
+	// CommitWorkers sizes the commit pipeline under every strategy: the
+	// number of committer workers that each pull the next page in the
+	// flush order and perform its copy, hash, compression and storage
+	// write in parallel with their peers, so the flush scales with the
+	// backend's aggregate bandwidth. 0 derives a default from GOMAXPROCS
+	// (capped at 8) — except with a custom Store, which defaults to 1
+	// until the backend opts into the concurrency contract (see Store). 1
+	// selects the serial committer of the original design.
 	CommitWorkers int
 	// Strategy selects the checkpointing approach (default Adaptive).
 	Strategy Strategy

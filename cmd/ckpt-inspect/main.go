@@ -85,6 +85,12 @@ func main() {
 	fmt.Printf("%-28s %-8s %-8s %-8s %-12s %-10s %-16s %s\n",
 		"entry", "pages", "deduped", "dedup%", "bytes", "chain", "status", "detail")
 	healthy := true
+	// The chain line is summed from the same rows: live entries hold the
+	// live segments, bytes and dedup references, superseded ones what a
+	// garbage-collection pass would reclaim.
+	var pageSize, segments, deduped int
+	var live, reclaimable int64
+	base := ""
 	for _, h := range health {
 		chain := "live"
 		if h.Superseded {
@@ -97,17 +103,31 @@ func main() {
 		fmt.Printf("%-28s %-8d %-8d %-8s %-12d %-10s %-16s %s\n", h.Manifest, h.PageCount, h.Deduped,
 			fmt.Sprintf("%.0f%%", ratio*100), h.TotalBytes, chain, h.Status, h.Detail)
 		healthy = healthy && !h.Damaged
-	}
-	if sum, err := aickpt.InspectChain(dir); err == nil {
-		fmt.Printf("\nchain: %d B pages, %d live segment(s), %d B live", sum.PageSize, sum.LiveSegments, sum.LiveBytes)
-		if sum.HasBase {
-			fmt.Printf(", base covers epochs [%d,%d]", sum.BaseFrom, sum.BaseTo)
+		switch {
+		case h.Status == aickpt.HealthTornTail || h.Status == aickpt.HealthManifestCorrupt:
+			// No manifest, so nothing to count.
+		case h.Superseded:
+			reclaimable += h.TotalBytes
+		default:
+			pageSize = h.PageSize
+			live += h.TotalBytes
+			deduped += h.Deduped
+			if h.IsBase {
+				base = h.Manifest
+			}
+			if h.Segment != "" {
+				segments++
+			}
 		}
-		if sum.Deduped > 0 {
-			fmt.Printf(", %d page write(s) deduplicated", sum.Deduped)
-		}
-		fmt.Printf("\nreclaimable by GC: %d B\n", sum.ReclaimableBytes)
 	}
+	fmt.Printf("\nchain: %d B pages, %d live segment(s), %d B live", pageSize, segments, live)
+	if base != "" {
+		fmt.Printf(", compacted base %s", base)
+	}
+	if deduped > 0 {
+		fmt.Printf(", %d page write(s) deduplicated", deduped)
+	}
+	fmt.Printf("\nreclaimable by GC: %d B\n", reclaimable)
 	if tiers, err := aickpt.InspectTiers(dir); err != nil {
 		fmt.Fprintf(os.Stderr, "ckpt-inspect: tier manifests unreadable: %v\n", err)
 		healthy = false

@@ -114,31 +114,14 @@ func (c *Chain) Live() []Manifest {
 	return append(entries, c.Epochs...)
 }
 
-// LiveSegments counts the segments the live chain holds: the base plus every
-// live epoch with at least one physical record. A restore opens only those
-// that own the newest copy of some page.
+// LiveSegments counts the live entries that HasSegment; a restore opens
+// only those that own the newest copy of some page.
 func (c *Chain) LiveSegments() int {
 	n := 0
-	if c.Base != nil {
-		n++
-	}
-	for _, m := range c.Epochs {
-		if m.PageCount > 0 {
+	for _, m := range c.Live() {
+		if m.HasSegment() {
 			n++
 		}
-	}
-	return n
-}
-
-// ReclaimableBytes sums the segment bytes of superseded epochs and stale
-// bases: storage a garbage-collection pass would free.
-func (c *Chain) ReclaimableBytes() int64 {
-	var n int64
-	for _, m := range c.Superseded {
-		n += m.TotalBytes
-	}
-	for _, m := range c.StaleBases {
-		n += m.TotalBytes
 	}
 	return n
 }
@@ -362,7 +345,7 @@ func WriteBase(fs FS, from, to uint64, pageSize int, pages *PageSet, codec uint8
 // retried by the next pass).
 func GCSuperseded(fs FS, c *Chain) (reclaimed int64, removed []string) {
 	drop := func(m Manifest) {
-		if m.PageCount > 0 || m.Base != nil {
+		if m.HasSegment() {
 			if fs.Remove(segmentFile(m)) == nil {
 				reclaimed += m.TotalBytes
 				removed = append(removed, segmentFile(m))

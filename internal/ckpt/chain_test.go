@@ -204,7 +204,17 @@ func TestBaseRoundTripAndChainAssembly(t *testing.T) {
 	if len(ch.Superseded) != 2 {
 		t.Fatalf("superseded = %+v", ch.Superseded)
 	}
-	if ch.ReclaimableBytes() == 0 {
+	rows, err := VerifyChain(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reclaimable int64
+	for _, h := range rows {
+		if h.Superseded {
+			reclaimable += h.TotalBytes
+		}
+	}
+	if reclaimable == 0 {
 		t.Fatal("superseded bytes not counted")
 	}
 	// Restore prefers the base and skips superseded epochs.

@@ -67,6 +67,10 @@ type Manifest struct {
 // DedupCount returns the number of pages the epoch elided via dedup.
 func (m *Manifest) DedupCount() int { return len(m.Refs) }
 
+// HasSegment reports whether the entry has a segment file: a base always
+// does, an epoch only if it stored at least one physical record.
+func (m *Manifest) HasSegment() bool { return m.PageCount > 0 || m.Base != nil }
+
 // segmentBufSize is the size of a segment writer's one buffer, and so of
 // every write(2) a segment receives. 32 KiB turns eight 4 KiB records into
 // one system call, which is nearly all there is to gain: a bare

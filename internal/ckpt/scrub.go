@@ -33,8 +33,8 @@ const (
 type SegmentHealth struct {
 	// Manifest is the manifest file name.
 	Manifest string `json:"manifest"`
-	// Segment is the segment file name ("" for epochs with no physical
-	// records).
+	// Segment is the segment file name ("" when the entry has none, see
+	// Manifest.HasSegment).
 	Segment string `json:"segment,omitempty"`
 	// Epoch is the entry's epoch (a base's To).
 	Epoch uint64 `json:"epoch"`
@@ -44,9 +44,11 @@ type SegmentHealth struct {
 	Status string `json:"status"`
 	// Detail carries the verification error for non-ok statuses.
 	Detail string `json:"detail,omitempty"`
-	// PageCount is the entry's physical record count and TotalBytes its
-	// segment size (both 0 when the manifest is unreadable); Deduped counts
-	// the page writes it recorded as references instead.
+	// PageSize is the entry's page size, PageCount its physical record
+	// count and TotalBytes its segment size (all 0 when the manifest is
+	// unreadable); Deduped counts the page writes it recorded as references
+	// instead.
+	PageSize   int   `json:"page_size,omitempty"`
 	PageCount  int   `json:"page_count"`
 	TotalBytes int64 `json:"total_bytes"`
 	Deduped    int   `json:"deduped,omitempty"`
@@ -90,12 +92,13 @@ func VerifyChain(fs FS) ([]SegmentHealth, error) {
 			Epoch:      m.Epoch,
 			IsBase:     m.Base != nil,
 			Status:     StatusOK,
+			PageSize:   m.PageSize,
 			PageCount:  m.PageCount,
 			TotalBytes: m.TotalBytes,
 			Deduped:    m.DedupCount(),
 			Superseded: superseded,
 		}
-		if m.PageCount > 0 {
+		if m.HasSegment() {
 			h.Segment = segmentFile(m)
 		}
 		if err := verifySegment(fs, m); err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -232,25 +233,33 @@ func TestSegmentFormatGolden(t *testing.T) {
 }
 
 // The repository is a passive object: it starts no goroutine, at the first
-// page, at a seal, or in between.
+// page, at a seal, or in between. A goroutine count would also move with the
+// runtime's finalizer goroutine and earlier tests' goroutines exiting, so
+// the check reads every goroutine's stack instead: none but the test's own
+// (the first one runtime.Stack lists) may run this package's code.
 func TestRepositoryStartsNoGoroutine(t *testing.T) {
 	const size = 4096
 	r := NewRepository(&MemFS{}, size)
-	before := runtime.NumGoroutine()
+	buf := make([]byte, 1<<20)
+	noOtherGoroutine := func(when string) {
+		t.Helper()
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n")[1:] {
+			if strings.Contains(g, "repro/internal/ckpt.") {
+				t.Fatalf("a goroutine runs repository code %s:\n%s", when, g)
+			}
+		}
+	}
 	for e := uint64(1); e <= 2; e++ {
 		for p := 0; p < 128; p++ {
 			if err := r.WritePage(e, p, stamped(p, int(e), size), size); err != nil {
 				t.Fatal(err)
 			}
-			if got := runtime.NumGoroutine(); got != before {
-				t.Fatalf("%d goroutines with epoch %d open, %d before the first WritePage", got, e, before)
-			}
+			noOtherGoroutine(fmt.Sprintf("with epoch %d open", e))
 		}
 		if err := r.EndEpoch(e); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("%d goroutines after EndEpoch, %d before the first WritePage", got, before)
+		noOtherGoroutine(fmt.Sprintf("after sealing epoch %d", e))
 	}
 }

@@ -18,12 +18,14 @@ import (
 // (PROTECTED_PAGE_HANDLER), which compete for the monitored pages and
 // synchronize through the manager's mutex and condition variables.
 //
-// The committer is a pipeline of Config.CommitWorkers concurrent workers:
-// each pulls the next page from the flush-order selector under the manager
-// lock, then performs the storage write off-lock, so independent page
-// writes overlap and the background flush approaches the aggregate
-// bandwidth of the backend instead of a single stream's. An epoch-end
-// barrier orders every page write before the single EndEpoch seal.
+// The committer is a pipeline of Config.CommitWorkers concurrent workers
+// and the one flush of every strategy: each pulls the next page in the
+// epoch's flush order under the manager lock, then performs the storage
+// write off-lock, so independent page writes overlap and the flush
+// approaches the aggregate bandwidth of the backend instead of a single
+// stream's. An epoch-end barrier orders every page write before the single
+// EndEpoch seal. The strategies differ only in the flush order's tiers and
+// in whether Checkpoint waits for the seal.
 type Manager struct {
 	cfg   Config
 	env   sim.Env
@@ -43,7 +45,7 @@ type Manager struct {
 	exited     bool   //aickpt:guardedby mu
 	firstErr   error  //aickpt:guardedby mu
 
-	workers       int  //aickpt:guardedby mu (committer workers spawned, 0 for Sync)
+	workers       int  //aickpt:guardedby mu (committer workers spawned)
 	exitedWorkers int  //aickpt:guardedby mu (workers that have returned)
 	inflight      int  //aickpt:guardedby mu (pages pulled by a worker but not yet Processed)
 	sealing       bool //aickpt:guardedby mu (a worker is inside EndEpoch for the current epoch)
@@ -77,14 +79,12 @@ type Manager struct {
 	liveCowQueue []int          //aickpt:guardedby mu (pages that took a COW slot this epoch)
 	liveCowHead  int            //aickpt:guardedby mu (consumed prefix of liveCowQueue)
 
-	// The selectors are embedded and rebuilt in place each epoch, so the
-	// steady-state epoch setup allocates nothing. The adaptive selector is
+	// The flush order is embedded and rebuilt in place each epoch, so the
+	// steady-state epoch setup allocates nothing. The adaptive classes are
 	// built lazily by the first committer worker to enter the epoch —
 	// off the application-blocking path — guarded by selReady/selBuilding.
-	sel         selector
-	adaptive    adaptiveSelector
-	ascend      ascendingSelector
-	selReady    bool         //aickpt:guardedby mu (current epoch's selector is built)
+	order       flushOrder
+	selReady    bool         //aickpt:guardedby mu (current epoch's flush order is built)
 	selBuilding bool         //aickpt:guardedby mu (a worker is building it with m.mu released)
 	selDirty    *util.Bitset // builder's dirty-set snapshot (reused scratch)
 
@@ -93,7 +93,7 @@ type Manager struct {
 }
 
 // NewManager builds a manager over cfg.Space, installs its fault handler and
-// (for the asynchronous strategies) starts the committer workers.
+// starts the committer workers.
 func NewManager(cfg Config) *Manager {
 	if cfg.Env == nil || cfg.Space == nil || cfg.Store == nil {
 		panic("core: Config needs Env, Space and Store")
@@ -127,17 +127,13 @@ func NewManager(cfg Config) *Manager {
 	m.ckptDone = m.env.NewCond(m.mu)
 	m.exitDone = m.env.NewCond(m.mu)
 	m.space.SetFaultHandler(m.handleFault)
-	if cfg.Strategy == Sync {
-		// Pre-publication: m is not shared until NewManager returns, so
-		// these init writes need no lock.
-		m.exited = true //aickpt:allow guardedby pre-publication init
-	} else {
-		m.workers = cfg.CommitWorkers //aickpt:allow guardedby pre-publication init
-		//aickpt:allow guardedby pre-publication init
-		for w := 0; w < m.workers; w++ {
-			w := w
-			m.env.Go(fmt.Sprintf("%s-committer-%d", cfg.Name, w), func() { m.committer(w) })
-		}
+	// Pre-publication: m is not shared until NewManager returns, so this
+	// init write needs no lock.
+	m.workers = cfg.CommitWorkers //aickpt:allow guardedby pre-publication init
+	//aickpt:allow guardedby pre-publication init
+	for w := 0; w < m.workers; w++ {
+		w := w
+		m.env.Go(fmt.Sprintf("%s-committer-%d", cfg.Name, w), func() { m.committer(w) })
 	}
 	return m
 }
@@ -185,12 +181,12 @@ func (m *Manager) ensureLocked(n int) {
 	m.npages = grow
 }
 
-// Checkpoint initiates a checkpoint (the CHECKPOINT primitive). For the
-// asynchronous strategies it implements Algorithm 1: wait for a previous
-// checkpoint to complete, rotate the epoch bookkeeping, write-protect all
-// pages and wake the committer; the application does not block during the
-// flush itself. For the Sync strategy it commits the whole dirty set inline
-// before returning.
+// Checkpoint initiates a checkpoint (the CHECKPOINT primitive, Algorithm 1):
+// wait for a previous checkpoint to complete, rotate the epoch bookkeeping,
+// write-protect all pages and wake the committer. Under the asynchronous
+// strategies the application does not block during the flush itself; under
+// Sync the same committer flushes the epoch while Checkpoint waits for its
+// seal.
 func (m *Manager) Checkpoint() {
 	start := m.env.Now()
 	// Acquire the space's write gate before rotating, so no application
@@ -219,37 +215,27 @@ func (m *Manager) Checkpoint() {
 	blocked := m.env.Now() - start
 	m.rotateLocked(start, blocked)
 	m.space.UnlockWrites()
+	epoch := m.epoch
+	m.inProgress = true
+	// Only name the order here: the adaptive O(dirty) class build runs on
+	// the first committer worker to enter the epoch, after Checkpoint has
+	// returned, so the application never blocks on it.
+	m.order.cursor = 0
+	m.selReady = m.cfg.Strategy != Adaptive
+	m.committerKick.Broadcast()
 	if m.cfg.Strategy == Sync {
-		m.syncCommitLocked()
-		if m.obs != nil {
-			// The whole inline flush counts as app-blocked time.
-			b := int64(m.cur.BlockedInCheckpoint)
-			m.obs.CheckpointsTotal.Inc()
-			m.obs.CheckpointBlockedNs.Observe(b)
-			m.obs.Trace(obs.StageCheckpoint, m.epoch, -1, 0, b)
+		// Another thread's Checkpoint may rotate the next epoch before this
+		// one wakes, so the wait ends at this epoch's seal, not at idle.
+		for m.inProgress && m.epoch == epoch {
+			m.ckptDone.Wait()
 		}
-		m.mu.Unlock()
-		return
+		blocked = m.env.Now() - start
 	}
 	if m.obs != nil {
 		m.obs.CheckpointsTotal.Inc()
 		m.obs.CheckpointBlockedNs.Observe(int64(blocked))
-		m.obs.Trace(obs.StageCheckpoint, m.epoch, -1, 0, int64(blocked))
+		m.obs.Trace(obs.StageCheckpoint, epoch, -1, 0, int64(blocked))
 	}
-	m.inProgress = true
-	switch m.cfg.Strategy {
-	case Adaptive:
-		// Only name the selector here: the O(dirty) class build runs on
-		// the first committer worker to enter the epoch, after Checkpoint
-		// has returned, so the application never blocks on it.
-		m.sel = &m.adaptive
-		m.selReady = false
-	case NoPattern:
-		m.ascend = ascendingSelector{}
-		m.sel = &m.ascend
-		m.selReady = true
-	}
-	m.committerKick.Broadcast()
 	m.mu.Unlock()
 }
 
@@ -269,8 +255,8 @@ func (m *Manager) rotateLocked(start, blocked time.Duration) {
 	m.index, m.lastIndex = m.lastIndex, m.index
 	m.accessOrder = 0
 	m.waited.reset()
-	// Reset the live-COW queue to its backing array's start: the selector
-	// consumes it through liveCowHead, so one array serves every epoch
+	// Reset the live-COW queue to its backing array's start: the flush
+	// order consumes it through liveCowHead, so one array serves every epoch
 	// instead of the pop-by-reslice re-growing it each time.
 	m.liveCowQueue = m.liveCowQueue[:0]
 	m.liveCowHead = 0
@@ -362,39 +348,6 @@ func (m *Manager) heatBucketLocked(page int) int {
 	return b
 }
 
-// syncCommitLocked flushes the scheduled set inline in ascending page order
-// with the application blocked — the sync baseline of §4.2.
-func (m *Manager) syncCommitLocked() {
-	epoch := m.epoch
-	pageSize := m.space.PageSize()
-	for p := m.lastDirty.NextSet(0); p >= 0; p = m.lastDirty.NextSet(p + 1) {
-		m.notePullLocked(p)
-		data := m.space.PageData(p)
-		m.mu.Unlock()
-		err := m.store.WritePage(epoch, p, data, pageSize)
-		m.mu.Lock()
-		m.noteErrLocked(err)
-		m.state[p] = Processed
-		m.lastDirty.Clear(p)
-	}
-	m.mu.Unlock()
-	var sstart time.Duration
-	if m.obs != nil {
-		sstart = m.env.Now()
-	}
-	err := m.store.EndEpoch(epoch)
-	m.mu.Lock()
-	m.noteErrLocked(err)
-	now := m.env.Now()
-	d := now - m.cur.Start
-	m.cur.Duration = d
-	m.cur.BlockedInCheckpoint += d
-	if m.obs != nil {
-		m.obs.Span(obs.SpanCommit, epoch, 0, m.cur.Start, now)
-		m.obs.Span(obs.SpanSeal, epoch, 0, sstart, now)
-	}
-}
-
 // committer is one worker of the ASYNC_COMMIT module (Algorithm 3,
 // parallelized): it drains the scheduled set together with its peers,
 // committing the COW copy when one exists and otherwise locking the page,
@@ -419,17 +372,17 @@ func (m *Manager) committer(worker int) {
 }
 
 // flushEpochLocked is one worker's participation in the current epoch's
-// flush. Pages are pulled from the selector under the lock — pulling clears
-// the page from the remaining set, so no two workers ever commit the same
-// page — and written to storage off-lock, concurrently with the other
-// workers. When the selector runs dry the worker joins the epoch-end
+// flush, and the only code that writes or seals an epoch. Pages are pulled
+// from the flush order under the lock — pulling clears the page from the
+// remaining set, so no two workers ever commit the same page — and written
+// to storage off-lock, concurrently with the other workers. When the order runs dry the worker joins the epoch-end
 // barrier: the worker that observes the last in-flight write retired seals
 // the epoch with a single EndEpoch, the rest wait for the seal (or for the
 // next epoch to start). Called and returns with m.mu held.
 func (m *Manager) flushEpochLocked(worker int) {
 	epoch := m.epoch
 	pageSize := m.space.PageSize()
-	// Build the epoch's selector if it is not ready yet: the first worker
+	// Build the epoch's flush order if it is not ready yet: the first worker
 	// in claims the build and runs it with the lock released, so a
 	// fault-handler caller is never blocked behind the bucketing. The
 	// inputs are snapshotted under the lock first: the *contents* of
@@ -454,7 +407,7 @@ func (m *Manager) flushEpochLocked(worker int) {
 		dirty, lastAT, lastIndex := m.selDirty, m.lastAT, m.lastIndex
 		m.mu.Unlock()
 		bstart := m.obs.Now()
-		m.adaptive.build(dirty, lastAT, lastIndex)
+		m.order.build(dirty, lastAT, lastIndex)
 		if m.obs != nil {
 			bend := m.obs.Now()
 			d := int64(bend - bstart)
@@ -467,12 +420,12 @@ func (m *Manager) flushEpochLocked(worker int) {
 		m.committerKick.Broadcast()
 	}
 	for m.inProgress && m.epoch == epoch {
-		p := m.sel.nextLocked(m, m.lastDirty)
+		p := m.order.nextLocked(m, m.lastDirty)
 		if p < 0 {
 			break
 		}
 		// Pull: from here on this worker owns the page. Clearing it from
-		// the remaining set keeps the other workers (and the selector's
+		// the remaining set keeps the other workers (and the order's
 		// stale-entry skipping) away from it.
 		m.lastDirty.Clear(p)
 		m.notePullLocked(p)
@@ -524,7 +477,7 @@ func (m *Manager) flushEpochLocked(worker int) {
 		m.pageDone.Broadcast()
 	}
 	// Epoch-end barrier. The epoch is complete when the remaining set is
-	// empty (the selector just ran dry and nothing re-enters it mid-epoch)
+	// empty (the order just ran dry and nothing re-enters it mid-epoch)
 	// and no pulled page is still being written. Exactly one worker claims
 	// the seal; the others wait on ckptDone, re-checking against the epoch
 	// number in case they wake into an already-started next epoch (then
@@ -556,6 +509,10 @@ func (m *Manager) flushEpochLocked(worker int) {
 			m.sealing = false
 			m.inProgress = false
 			m.cur.Duration = m.env.Now() - m.cur.Start
+			if m.cfg.Strategy == Sync {
+				// The application waited from its Checkpoint call to here.
+				m.cur.BlockedInCheckpoint = m.cur.Duration
+			}
 			m.ckptDone.Broadcast()
 			return
 		}
@@ -625,7 +582,7 @@ func (m *Manager) handleFault(page int) {
 	default:
 		// Page in flight, or scheduled with no free COW slot: wait until
 		// the committer processes it, hinting it via the waited queue so
-		// the selectors maximize its priority. The queue dedups on enqueue,
+		// the flush order serves it first. The queue dedups on enqueue,
 		// so several threads blocking on one page share a single entry.
 		m.waited.push(page)
 		if d := m.waited.len(); d > m.cur.MaxWaitedDepth {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/pagemem"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -321,6 +322,59 @@ func TestSyncBlocksForWholeFlush(t *testing.T) {
 	}
 }
 
+// TestSyncFlushIsTheCommitter: a Sync flush is the committer pipeline with
+// the caller blocked, so a second process writing mid-flush gets a COW slot
+// and the epoch stores the checkpoint-time content, the slot is released at
+// the seal, and the epoch shows up in the commit and seal metrics.
+func TestSyncFlushIsTheCommitter(t *testing.T) {
+	k := sim.NewKernel()
+	met := obs.New(k.Now)
+	fs := &ckpt.MemFS{}
+	space := pagemem.NewSpace(testPageSize)
+	link := netsim.NewLink(k, netsim.LinkConfig{Name: "disk", BytesPerSec: 10 * testPageSize})
+	disk := storage.NewSimDisk(link)
+	disk.Next = ckpt.NewRepository(fs, testPageSize)
+	m := NewManager(Config{
+		Env: k, Space: space, Store: disk,
+		Strategy: Sync, CowSlots: 4, Name: "sync-cow", Metrics: met,
+	})
+	r := space.Alloc(8*testPageSize, false)
+	var cowUsed int
+	k.Go("app", func() {
+		fill(r, 1)
+		k.Go("writer", func() {
+			k.Sleep(250 * time.Millisecond) // page 5 is written at 600ms
+			r.StoreByte(5*testPageSize, 2)
+		})
+		m.Checkpoint() // 8 pages x 100ms
+		m.mu.Lock()
+		cowUsed = m.cowUsed
+		m.mu.Unlock()
+		m.Close()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	restoreAndCompare(t, fs, r, bytes.Repeat([]byte{1}, 8*testPageSize), "sync epoch")
+	if cowUsed != 0 {
+		t.Errorf("cowUsed = %d after the seal, want 0", cowUsed)
+	}
+	ep := m.Stats()[0]
+	if ep.Cows != 1 || ep.Duration != 800*time.Millisecond || ep.BlockedInCheckpoint != ep.Duration {
+		t.Errorf("stats = %+v, want 1 COW and the whole 800ms flush blocked", ep)
+	}
+	snap := met.TakeSnapshot()
+	if n := snap.Counters["aickpt_core_epochs_sealed_total"]; n != 1 {
+		t.Errorf("aickpt_core_epochs_sealed_total = %d, want 1", n)
+	}
+	if n := snap.Counters["aickpt_core_commit_pages_total"]; n != 8 {
+		t.Errorf("aickpt_core_commit_pages_total = %d, want 8", n)
+	}
+}
+
 func TestSecondCheckpointWaitsForFirst(t *testing.T) {
 	k := sim.NewKernel()
 	space := pagemem.NewSpace(testPageSize)
@@ -432,9 +486,17 @@ func TestStoreErrorSurfaces(t *testing.T) {
 	}
 }
 
-// Property-style test: a random workload in virtual time, checkpointed at
-// random moments; after every sealed epoch the restored image must equal
-// the memory snapshot taken at that checkpoint's request time.
+// Property-style test: a random workload in virtual time, written by two
+// processes and checkpointed at random moments by one of them, so writes
+// race the flush under every strategy; every sealed epoch must fold to the
+// memory image at its checkpoint request.
+//
+// The images are reconstructed from the fault path rather than copied by
+// the checkpointing process, which may be descheduled between its copy and
+// the rotation. Rotation protects every page, so the content a page holds
+// at its first fault of epoch e is its content at epoch e's request; a page
+// that takes no fault in epoch e holds the same content at epoch e+1's
+// request (or at the end of the run, for the last epoch).
 func TestRestoreInvariantRandomWorkloads(t *testing.T) {
 	for _, strategy := range []Strategy{Adaptive, NoPattern, Sync} {
 		for seed := uint64(1); seed <= 8; seed++ {
@@ -453,33 +515,59 @@ func TestRestoreInvariantRandomWorkloads(t *testing.T) {
 				})
 				const nPages = 24
 				r := space.Alloc(nPages*testPageSize, false)
-				snapshots := map[uint64][]byte{}
+				// pre[e][p]: page p's content at epoch e's request, for the
+				// pages written during epoch e.
+				pre := map[uint64]map[int][]byte{}
+				space.SetFaultHandler(func(p int) {
+					data := append([]byte(nil), space.PageData(p)...)
+					if e := m.Epoch(); e > 0 {
+						if pre[e] == nil {
+							pre[e] = map[int][]byte{}
+						}
+						if _, ok := pre[e][p]; !ok {
+							pre[e][p] = data
+						}
+					}
+					m.handleFault(p)
+				})
+				write := func(rng *util.RNG) {
+					off := rng.Intn(nPages * testPageSize)
+					n := min(rng.Intn(3*testPageSize)+1, nPages*testPageSize-off)
+					data := make([]byte, n)
+					for i := range data {
+						data[i] = byte(rng.Uint64())
+					}
+					r.Write(off, data)
+				}
+				writers := sim.NewWaitGroup(k)
+				writers.Add(1)
+				k.Go("writer", func() {
+					defer writers.Done()
+					wrng := util.NewRNG(seed + 1000)
+					for step := 0; step < 200; step++ {
+						if wrng.Intn(4) == 0 {
+							k.Sleep(time.Duration(wrng.Intn(20)) * time.Millisecond)
+						} else {
+							write(wrng)
+						}
+					}
+				})
 				k.Go("app", func() {
 					ckptCount := 0
 					for step := 0; step < 300; step++ {
 						switch rng.Intn(10) {
 						case 0:
 							if ckptCount < 5 {
-								snap := append([]byte(nil), r.Bytes()...)
 								m.Checkpoint()
-								snapshots[m.Epoch()] = snap
 								ckptCount++
 							}
 						case 1:
 							k.Sleep(time.Duration(rng.Intn(40)) * time.Millisecond)
 						default:
-							off := rng.Intn(nPages * testPageSize)
-							n := rng.Intn(3*testPageSize) + 1
-							if off+n > nPages*testPageSize {
-								n = nPages*testPageSize - off
-							}
-							data := make([]byte, n)
-							for i := range data {
-								data[i] = byte(rng.Uint64())
-							}
-							r.Write(off, data)
+							write(rng)
 						}
 					}
+					writers.Wait()
 					m.WaitIdle()
 					m.Close()
 				})
@@ -489,23 +577,35 @@ func TestRestoreInvariantRandomWorkloads(t *testing.T) {
 				if err := m.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if len(snapshots) == 0 {
-					t.Skip("no checkpoints drawn")
-				}
-				im, err := ckpt.Restore(fs)
+				ch, err := ckpt.LoadChain(fs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, ok := snapshots[im.Epoch]
-				if !ok {
-					t.Fatalf("no snapshot for restored epoch %d", im.Epoch)
+				if len(ch.Epochs) == 0 {
+					t.Skip("no checkpoints drawn")
 				}
-				got := make([]byte, 0, nPages*testPageSize)
-				for p := 0; p < nPages; p++ {
-					got = append(got, im.PageOr(p)...)
+				if last := ch.Epochs[len(ch.Epochs)-1].Epoch; last != m.Epoch() {
+					t.Fatalf("last sealed epoch %d, %d requested", last, m.Epoch())
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatal("restored image differs from snapshot at checkpoint request")
+				want := append([]byte(nil), r.Bytes()...)
+				for i := len(ch.Epochs) - 1; i >= 0; i-- {
+					e := ch.Epochs[i].Epoch
+					for p, data := range pre[e] {
+						copy(want[p*testPageSize:], data)
+					}
+					ps, _, err := ckpt.FoldChain(fs, ch.Epochs[:i+1], 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]byte, nPages*testPageSize)
+					for p := range nPages {
+						if data, ok := ps.Get(p); ok {
+							copy(got[p*testPageSize:], data)
+						}
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("epoch %d folds to an image that differs from memory at its checkpoint request", e)
+					}
 				}
 			})
 		}

@@ -4,87 +4,54 @@ import (
 	"repro/internal/util"
 )
 
-// selector produces the next page to commit (SELECT_NEXT_PAGE, Algorithm 4).
-// Selectors are consulted with the manager's mutex held — possibly by
-// several committer workers in turn, each of which removes the page it was
-// handed from the remaining set before releasing the lock.
-//
-// Construction happens off the application-blocking path: Checkpoint() only
-// names the selector for the new epoch, and the first committer worker to
-// enter the epoch builds it (see Manager.flushEpochLocked) with the manager
-// lock *released*. That is safe because the build reads a locked snapshot
-// of the previous epoch's structures: the *contents* of LastDirty, LastAT
-// and LastIndex are frozen between rotation and the first page pull (the
-// fault handler writes the *current* epoch's arrays, committer workers only
-// clear LastDirty bits after pulling from a built selector, and rotation
-// waits for the in-flight epoch to finish), but a fault on a page past the
-// tracked range grows those containers, so the builder captures the slice
-// headers and a bitset copy under the lock instead of chasing the live
-// fields. Workers arriving while the build is in progress block until it
-// completes, so no page is pulled from a half-built order.
-type selector interface {
-	// nextLocked returns the next page to commit, or -1 when the remaining set
-	// is empty. remaining is the live LastDirty set: pages already pulled
-	// by a worker or committed through other paths must be skipped.
-	nextLocked(m *Manager, remaining *util.Bitset) int
-}
-
-// ascendingSelector flushes in ascending page order — the
-// async-no-pattern baseline of §4.2 ("dirty pages are simply dumped in
-// ascending order of their address"). A page the application is currently
-// blocked on still jumps the queue: the baseline in the paper reports tens
-// of thousands of waits per epoch that each resolve quickly, which is only
-// possible if the committer serves waiters promptly; the baseline's
-// ignorance is about the background order (no history classes, no live-COW
-// slot recycling preference), not about starving blocked writers.
-type ascendingSelector struct {
-	cursor int
-}
-
-func (s *ascendingSelector) nextLocked(m *Manager, remaining *util.Bitset) int {
-	for !m.cfg.NoWaitedHint {
-		p, ok := m.waited.front()
-		if !ok {
-			break
-		}
-		if remaining.Test(p) {
-			return p
-		}
-		// Already pulled or committed through another path; drop the hint.
-		m.waited.remove(p)
-	}
-	p := remaining.NextSet(s.cursor)
-	if p < 0 {
-		// The cursor may have skipped pages committed out of band (waited
-		// pages, COW copies); rescan from the start.
-		p = remaining.NextSet(0)
-	}
-	if p >= 0 {
-		s.cursor = p + 1
-	}
-	return p
-}
-
-// adaptiveSelector implements Algorithm 4:
+// flushOrder produces the next page to commit (SELECT_NEXT_PAGE, Algorithm
+// 4) for every strategy. It is consulted with the manager's mutex held —
+// possibly by several committer workers in turn, each of which removes the
+// page it was handed from the remaining set before releasing the lock. Its
+// tiers, highest first:
 //
 //  1. the page the application is waiting on right now,
 //  2. pages that triggered a copy-on-write in the current epoch (committing
 //     them releases COW slots),
 //  3. pages whose previous-epoch access type was WAIT, then COW, then
-//     AVOIDED — each class ordered by earliest previous access (LastIndex),
-//  4. any remaining pages (previous type AFTER, or no history), also by
-//     earliest previous access, ties in ascending page order.
+//     AVOIDED, then the rest — each class ordered by earliest previous
+//     access (LastIndex), ties in ascending page order,
+//  4. an ascending page cursor over whatever is left.
 //
-// The zero value is an empty selector; build fills it. Its slices are
-// retained scratch: a Manager embeds one adaptiveSelector and rebuilds it
-// in place every adaptive epoch, so the steady-state build allocates
-// nothing once the scratch reaches the working-set size.
-type adaptiveSelector struct {
+// Tiers 2 and 3 are the adaptive strategy's; NoPattern and Sync flush the
+// waited page and then ascend — the async-no-pattern baseline of §4.2
+// ("dirty pages are simply dumped in ascending order of their address").
+// The baseline still serves blocked writers first: the paper reports tens
+// of thousands of waits per epoch that each resolve quickly, which is only
+// possible if the committer serves waiters promptly; its ignorance is about
+// the background order, not about starving blocked writers.
+//
+// Construction happens off the application-blocking path: Checkpoint() only
+// names the epoch's order, and for the adaptive strategy the first committer
+// worker to enter the epoch builds the classes (see
+// Manager.flushEpochLocked) with the manager lock *released*. That is safe
+// because the build reads a locked snapshot of the previous epoch's
+// structures: the *contents* of LastDirty, LastAT and LastIndex are frozen
+// between rotation and the first page pull (the fault handler writes the
+// *current* epoch's arrays, committer workers only clear LastDirty bits
+// after pulling from a built order, and rotation waits for the in-flight
+// epoch to finish), but a fault on a page past the tracked range grows those
+// containers, so the builder captures the slice headers and a bitset copy
+// under the lock instead of chasing the live fields. Workers arriving while
+// the build is in progress block until it completes, so no page is pulled
+// from a half-built order.
+//
+// A Manager embeds one flushOrder and rebuilds it in place every epoch; its
+// slices are retained scratch, so the steady-state build allocates nothing
+// once the scratch reaches the working-set size.
+type flushOrder struct {
 	// classes[0..3]: WAIT, COW, AVOIDED, rest — page IDs ordered by
 	// (LastIndex, page). Consumed front to back, skipping pages no longer
 	// in the remaining set.
 	classes [4][]int32
 	heads   [4]int
+	// cursor is the ascending tier's next candidate page.
+	cursor int
 
 	// build scratch, reused across epochs.
 	count []int32 // per-LastIndex page counts, then placement offsets
@@ -117,7 +84,7 @@ func classOf(at AccessType) int {
 // produces, but test histories may) tie-break by ascending page ID exactly
 // like the comparison sort did, because pages are placed in ascending
 // bitset order.
-func (s *adaptiveSelector) build(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) {
+func (s *flushOrder) build(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) {
 	for c := range s.classes {
 		s.classes[c] = s.classes[c][:0]
 		s.heads[c] = 0
@@ -167,8 +134,11 @@ func (s *adaptiveSelector) build(dirty *util.Bitset, lastAT []AccessType, lastIn
 	}
 }
 
-func (s *adaptiveSelector) nextLocked(m *Manager, remaining *util.Bitset) int {
-	// Priority 1: a page the application is blocked on right now.
+// nextLocked returns the next page to commit, or -1 when the remaining set
+// is empty. remaining is the live LastDirty set: pages already pulled by a
+// worker must be skipped.
+func (s *flushOrder) nextLocked(m *Manager, remaining *util.Bitset) int {
+	// Tier 1: a page the application is blocked on right now.
 	for !m.cfg.NoWaitedHint {
 		p, ok := m.waited.front()
 		if !ok {
@@ -177,30 +147,40 @@ func (s *adaptiveSelector) nextLocked(m *Manager, remaining *util.Bitset) int {
 		if remaining.Test(p) {
 			return p
 		}
-		// Already pulled or committed through another path; drop the hint.
+		// Already pulled by another worker; drop the hint.
 		m.waited.remove(p)
 	}
-	// Priority 2: current-epoch COW pages — free their slots ASAP. Consumed
-	// entries advance a head index; the backing array is reused across
-	// epochs (rotation resets both), so the queue never re-grows in steady
-	// state.
-	for !m.cfg.NoLiveCowPriority && m.liveCowHead < len(m.liveCowQueue) {
-		p := m.liveCowQueue[m.liveCowHead]
-		if remaining.Test(p) {
-			return p
-		}
-		m.liveCowHead++
-	}
-	// Priority 3/4: previous-epoch interference classes.
-	for c := 0; c < 4; c++ {
-		for s.heads[c] < len(s.classes[c]) {
-			p := int(s.classes[c][s.heads[c]])
+	if m.cfg.Strategy == Adaptive {
+		// Tier 2: current-epoch COW pages — free their slots ASAP. Consumed
+		// entries advance a head index; the backing array is reused across
+		// epochs (rotation resets both), so the queue never re-grows in
+		// steady state.
+		for !m.cfg.NoLiveCowPriority && m.liveCowHead < len(m.liveCowQueue) {
+			p := m.liveCowQueue[m.liveCowHead]
 			if remaining.Test(p) {
 				return p
 			}
-			s.heads[c]++
+			m.liveCowHead++
+		}
+		// Tier 3: previous-epoch interference classes.
+		for c := range s.classes {
+			for s.heads[c] < len(s.classes[c]) {
+				p := int(s.classes[c][s.heads[c]])
+				if remaining.Test(p) {
+					return p
+				}
+				s.heads[c]++
+			}
 		}
 	}
-	// Defensive fallback: anything left in the set.
-	return remaining.NextSet(0)
+	// Tier 4: ascending. The cursor may have passed pages pulled out of
+	// order (waited pages); rescan from the start once it runs dry.
+	p := remaining.NextSet(s.cursor)
+	if p < 0 {
+		p = remaining.NextSet(0)
+	}
+	if p >= 0 {
+		s.cursor = p + 1
+	}
+	return p
 }

@@ -9,15 +9,15 @@ import (
 	"repro/internal/util"
 )
 
-// newAdaptiveSelector builds a fresh selector; the manager reuses its
+// newAdaptiveSelector builds a fresh flush order; the manager reuses its
 // embedded one via build instead.
-func newAdaptiveSelector(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) *adaptiveSelector {
-	s := &adaptiveSelector{}
+func newAdaptiveSelector(dirty *util.Bitset, lastAT []AccessType, lastIndex []int32) *flushOrder {
+	s := &flushOrder{}
 	s.build(dirty, lastAT, lastIndex)
 	return s
 }
 
-func drain(t *testing.T, s selector, m *Manager, remaining *util.Bitset) []int {
+func drain(t *testing.T, s *flushOrder, m *Manager, remaining *util.Bitset) []int {
 	t.Helper()
 	var out []int
 	for {
@@ -26,22 +26,47 @@ func drain(t *testing.T, s selector, m *Manager, remaining *util.Bitset) []int {
 			return out
 		}
 		if !remaining.Test(p) {
-			t.Fatalf("selector returned page %d not in remaining set", p)
+			t.Fatalf("flush order returned page %d not in remaining set", p)
 		}
 		remaining.Clear(p)
 		out = append(out, p)
 	}
 }
 
-func TestAscendingSelectorOrder(t *testing.T) {
-	m := &Manager{}
-	remaining := util.NewBitset(16)
-	for _, p := range []int{3, 1, 9, 14} {
-		remaining.Set(p)
+// TestFlushOrderTiersByStrategy: with history classes and live-COW pages
+// present, Adaptive walks all four tiers while NoPattern and Sync serve the
+// waited page and then ascend — they differ from Adaptive only in the
+// order's tiers, and nothing but this test keeps them from using the rest.
+func TestFlushOrderTiersByStrategy(t *testing.T) {
+	const n = 10
+	lastAT := make([]AccessType, n)
+	lastIndex := make([]int32, n)
+	lastAT[4], lastIndex[4] = Wait, 3
+	lastAT[7], lastIndex[7] = Wait, 1
+	lastAT[2], lastIndex[2] = Cow, 2
+	lastAT[0], lastIndex[0] = Avoided, 5
+	lastAT[1], lastIndex[1] = After, 6
+	dirty := util.NewBitset(n)
+	for _, p := range []int{0, 1, 2, 3, 4, 7, 9} {
+		dirty.Set(p)
 	}
-	got := drain(t, &ascendingSelector{}, m, remaining)
-	if fmt.Sprint(got) != fmt.Sprint([]int{1, 3, 9, 14}) {
-		t.Errorf("order = %v", got)
+	for _, tc := range []struct {
+		strategy Strategy
+		want     []int
+	}{
+		// Waited 3; live COW 9, 2; WAIT 7, 4; AVOIDED 0; rest 1.
+		{Adaptive, []int{3, 9, 2, 7, 4, 0, 1}},
+		{NoPattern, []int{3, 0, 1, 2, 4, 7, 9}},
+		{Sync, []int{3, 0, 1, 2, 4, 7, 9}},
+	} {
+		t.Run(tc.strategy.String(), func(t *testing.T) {
+			m := &Manager{cfg: Config{Strategy: tc.strategy}, liveCowQueue: []int{9, 2}}
+			m.waited.push(3)
+			got := drain(t, newAdaptiveSelector(dirty, lastAT, lastIndex), m, dirty.Clone())
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("order = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -194,7 +219,7 @@ func TestAllocGateSelectorBuildReuse(t *testing.T) {
 		lastAT[p] = AccessType(rng.Intn(5))
 		lastIndex[p] = int32(perm[p]) + 1
 	}
-	var s adaptiveSelector
+	var s flushOrder
 	s.build(dirty, lastAT, lastIndex) // grow scratch
 	if allocs := testing.AllocsPerRun(50, func() { s.build(dirty, lastAT, lastIndex) }); allocs != 0 {
 		t.Errorf("steady-state selector build allocated %.2f times per run, want 0", allocs)

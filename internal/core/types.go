@@ -80,8 +80,8 @@ const (
 	// NoPattern is asynchronous incremental checkpointing that flushes in
 	// ascending page order, ignoring the access pattern.
 	NoPattern
-	// Sync blocks the application inside Checkpoint until all dirty
-	// pages are committed.
+	// Sync is NoPattern with the application blocked inside Checkpoint
+	// until the committer has sealed the epoch.
 	Sync
 )
 
@@ -114,14 +114,13 @@ type Config struct {
 	// COW buffer size divided by the page size). Zero disables COW.
 	CowSlots int
 	// CommitWorkers is the number of concurrent committer workers in the
-	// parallel commit pipeline. Workers pull pages from the flush-order
-	// selector under the manager lock and perform the storage writes
+	// parallel commit pipeline. Workers pull pages in the epoch's flush
+	// order under the manager lock and perform the storage writes
 	// off-lock, concurrently; an epoch-end barrier orders every write
 	// before the seal. 0 defaults to 1 — the serial committer, which keeps
 	// virtual-time simulations bit-for-bit reproducible with earlier
 	// revisions. Values > 1 require a Store that tolerates concurrent
-	// WritePage calls for the same epoch (see storage.Backend). Ignored by
-	// the Sync strategy, which flushes inline.
+	// WritePage calls for the same epoch (see storage.Backend).
 	CommitWorkers int
 	// CowCopyCost models the time to copy one page into the COW buffer
 	// (virtual-time experiments only; leave zero in real mode, where the

@@ -75,52 +75,3 @@ func (rt *Runtime) LoadImage(im *Image, r *Region) error {
 	}
 	return nil
 }
-
-// ChainSummary condenses the repository chain: what the live chain holds,
-// what compaction has folded, and what garbage collection could still reclaim.
-type ChainSummary struct {
-	PageSize int
-	// LastEpoch is the restart point (through live epochs or the base).
-	LastEpoch uint64
-	// LiveSegments is the number of segments the live chain holds.
-	LiveSegments int
-	// HasBase reports a committed consolidated base covering
-	// [BaseFrom, BaseTo].
-	HasBase          bool
-	BaseFrom, BaseTo uint64
-	// LiveBytes is the total segment size of the live chain; Deduped
-	// counts page writes across it elided by dedup; ReclaimableBytes is
-	// the garbage (superseded epochs, stale bases) still on disk.
-	LiveBytes        int64
-	Deduped          int
-	ReclaimableBytes int64
-}
-
-// InspectChain summarizes the chain structure of a repository directory;
-// it backs the ckpt-inspect tool's chain view.
-func InspectChain(dir string) (ChainSummary, error) {
-	fs, err := ckpt.OpenOSFS(dir)
-	if err != nil {
-		return ChainSummary{}, err
-	}
-	ch, err := ckpt.LoadChain(fs)
-	if err != nil {
-		return ChainSummary{}, err
-	}
-	sum := ChainSummary{
-		PageSize:         ch.PageSize,
-		LiveSegments:     ch.LiveSegments(),
-		ReclaimableBytes: ch.ReclaimableBytes(),
-	}
-	sum.LastEpoch, _ = ch.LastEpoch()
-	if ch.Base != nil {
-		sum.HasBase = true
-		sum.BaseFrom, sum.BaseTo = ch.Base.Base.From, ch.Base.Base.To
-		sum.LiveBytes += ch.Base.TotalBytes
-	}
-	for _, m := range ch.Epochs {
-		sum.LiveBytes += m.TotalBytes
-		sum.Deduped += m.DedupCount()
-	}
-	return sum, nil
-}

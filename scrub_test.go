@@ -265,9 +265,6 @@ func TestReadersLeaveALiveFlushAlone(t *testing.T) {
 			if _, err := Verify(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := InspectChain(dir); err != nil {
-				t.Fatal(err)
-			}
 			if _, err := Restore(dir); err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +300,6 @@ func TestReadersRejectAMissingDirectory(t *testing.T) {
 	for name, open := range map[string]func() error{
 		"Verify":       func() error { _, err := Verify(dir); return err },
 		"Restore":      func() error { _, err := Restore(dir); return err },
-		"InspectChain": func() error { _, err := InspectChain(dir); return err },
 		"InspectTiers": func() error { _, err := InspectTiers(dir); return err },
 	} {
 		if err := open(); !errors.Is(err, os.ErrNotExist) {
