@@ -101,7 +101,11 @@ type Options struct {
 	// backend's aggregate bandwidth. 0 derives a default from GOMAXPROCS
 	// (capped at 8) — except with a custom Store, which defaults to 1
 	// until the backend opts into the concurrency contract (see Store). 1
-	// selects the serial committer of the original design.
+	// selects the serial committer of the original design. While the
+	// application runs, at most GOMAXPROCS−1 of the workers (at least one)
+	// pull pages, so the application keeps a core; while it waits inside
+	// the runtime (WaitIdle, a Sync Checkpoint, a write to a page in
+	// flight), all of them do.
 	CommitWorkers int
 	// Strategy selects the checkpointing approach (default Adaptive).
 	Strategy Strategy

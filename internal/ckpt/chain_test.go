@@ -12,6 +12,13 @@ import (
 	"repro/internal/compress"
 )
 
+// Drop removes a file without error checking, simulating partial loss.
+func (m *MemFS) Drop(name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.files, name)
+}
+
 // sealEpoch writes pages (id -> fill byte) into one epoch and seals it.
 func sealEpoch(t *testing.T, r *Repository, epoch uint64, size int, fills map[int]byte) {
 	t.Helper()

@@ -170,14 +170,6 @@ func (m *MemFS) Remove(name string) error {
 	return nil
 }
 
-// Drop removes a file without error checking; tests use it to simulate
-// partial loss.
-func (m *MemFS) Drop(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.files, name)
-}
-
 // Truncate cuts a file to n bytes, simulating a torn write after a crash
 // on a medium without atomic publish.
 func (m *MemFS) Truncate(name string, n int) {

@@ -25,7 +25,9 @@ import (
 // approaches the aggregate bandwidth of the backend instead of a single
 // stream's. An epoch-end barrier orders every page write before the single
 // EndEpoch seal. The strategies differ only in the flush order's tiers and
-// in whether Checkpoint waits for the seal.
+// in whether Checkpoint waits for the seal. While no application thread is
+// parked inside the manager, at most Env.Cores()−1 workers pull pages, so the
+// running application keeps a core; while one waits, all of them pull.
 type Manager struct {
 	cfg   Config
 	env   sim.Env
@@ -49,6 +51,8 @@ type Manager struct {
 	exitedWorkers int  //aickpt:guardedby mu (workers that have returned)
 	inflight      int  //aickpt:guardedby mu (pages pulled by a worker but not yet Processed)
 	sealing       bool //aickpt:guardedby mu (a worker is inside EndEpoch for the current epoch)
+	parked        int  //aickpt:guardedby mu (application threads waiting inside the manager)
+	idleLimit     int  // workers that may pull while no application thread is parked
 
 	// Per-page metadata, indexed by global page ID (§3.3 data structures).
 	npages    int
@@ -130,6 +134,10 @@ func NewManager(cfg Config) *Manager {
 	// Pre-publication: m is not shared until NewManager returns, so this
 	// init write needs no lock.
 	m.workers = cfg.CommitWorkers //aickpt:allow guardedby pre-publication init
+	m.idleLimit = cfg.CommitWorkers
+	if c := m.env.Cores(); c > 0 {
+		m.idleLimit = max(1, min(cfg.CommitWorkers, c-1))
+	}
 	//aickpt:allow guardedby pre-publication init
 	for w := 0; w < m.workers; w++ {
 		w := w
@@ -200,7 +208,7 @@ func (m *Manager) Checkpoint() {
 			panic("core: Checkpoint on closed manager")
 		}
 		for m.inProgress {
-			m.ckptDone.Wait()
+			m.parkedWaitLocked(m.ckptDone)
 		}
 		m.mu.Unlock()
 		m.space.LockWrites()
@@ -227,7 +235,7 @@ func (m *Manager) Checkpoint() {
 		// Another thread's Checkpoint may rotate the next epoch before this
 		// one wakes, so the wait ends at this epoch's seal, not at idle.
 		for m.inProgress && m.epoch == epoch {
-			m.ckptDone.Wait()
+			m.parkedWaitLocked(m.ckptDone)
 		}
 		blocked = m.env.Now() - start
 	}
@@ -348,6 +356,27 @@ func (m *Manager) heatBucketLocked(page int) int {
 	return b
 }
 
+// parkedWaitLocked is an application thread's wait on c. A waiting thread
+// needs no core, so while one is parked every commit worker may pull; the
+// first to park wakes the workers the cap holds back.
+func (m *Manager) parkedWaitLocked(c sim.Cond) {
+	m.parked++
+	if m.parked == 1 && m.idleLimit < m.workers {
+		m.committerKick.Broadcast()
+	}
+	c.Wait()
+	m.parked--
+}
+
+// activeLimitLocked is how many commit workers may pull pages now: all of
+// them while an application thread is parked, otherwise the idle limit.
+func (m *Manager) activeLimitLocked() int {
+	if m.parked > 0 {
+		return m.workers
+	}
+	return m.idleLimit
+}
+
 // committer is one worker of the ASYNC_COMMIT module (Algorithm 3,
 // parallelized): it drains the scheduled set together with its peers,
 // committing the COW copy when one exists and otherwise locking the page,
@@ -378,7 +407,9 @@ func (m *Manager) committer(worker int) {
 // to storage off-lock, concurrently with the other workers. When the order runs dry the worker joins the epoch-end
 // barrier: the worker that observes the last in-flight write retired seals
 // the epoch with a single EndEpoch, the rest wait for the seal (or for the
-// next epoch to start). Called and returns with m.mu held.
+// next epoch to start). A worker at or past activeLimitLocked neither builds
+// the order nor pulls: it waits on committerKick until an application thread
+// parks or the epoch ends. Called and returns with m.mu held.
 func (m *Manager) flushEpochLocked(worker int) {
 	epoch := m.epoch
 	pageSize := m.space.PageSize()
@@ -392,9 +423,10 @@ func (m *Manager) flushEpochLocked(worker int) {
 	// the builder must not chase the live slice headers. The snapshot
 	// headers stay valid because growth copies into fresh arrays and never
 	// writes the old ones; the bitset is copied into a reusable scratch
-	// because Grow mutates the bitset struct in place. Late workers wait.
+	// because Grow mutates the bitset struct in place. Late and capped
+	// workers wait.
 	for !m.selReady && m.inProgress && m.epoch == epoch {
-		if m.selBuilding {
+		if m.selBuilding || worker >= m.activeLimitLocked() {
 			m.committerKick.Wait()
 			continue
 		}
@@ -420,6 +452,10 @@ func (m *Manager) flushEpochLocked(worker int) {
 		m.committerKick.Broadcast()
 	}
 	for m.inProgress && m.epoch == epoch {
+		if worker >= m.activeLimitLocked() {
+			m.committerKick.Wait()
+			continue
+		}
 		p := m.order.nextLocked(m, m.lastDirty)
 		if p < 0 {
 			break
@@ -514,6 +550,10 @@ func (m *Manager) flushEpochLocked(worker int) {
 				m.cur.BlockedInCheckpoint = m.cur.Duration
 			}
 			m.ckptDone.Broadcast()
+			if m.idleLimit < m.workers {
+				// Release the capped workers, which Close may be waiting on.
+				m.committerKick.Broadcast()
+			}
 			return
 		}
 		m.ckptDone.Wait()
@@ -590,7 +630,7 @@ func (m *Manager) handleFault(page int) {
 		}
 		waitStart := m.env.Now()
 		for m.state[page] != Processed {
-			m.pageDone.Wait()
+			m.parkedWaitLocked(m.pageDone)
 		}
 		m.waited.remove(page)
 		m.at[page] = Wait
@@ -643,7 +683,7 @@ func (m *Manager) noteErrLocked(err error) {
 func (m *Manager) WaitIdle() {
 	m.mu.Lock()
 	for m.inProgress {
-		m.ckptDone.Wait()
+		m.parkedWaitLocked(m.ckptDone)
 	}
 	m.mu.Unlock()
 }
@@ -654,7 +694,7 @@ func (m *Manager) WaitIdle() {
 func (m *Manager) Free(r *pagemem.Region) {
 	m.mu.Lock()
 	for m.inProgress {
-		m.ckptDone.Wait()
+		m.parkedWaitLocked(m.ckptDone)
 	}
 	first, count := r.Pages()
 	for p := first; p < first+count && p < m.npages; p++ {

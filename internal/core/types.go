@@ -120,7 +120,9 @@ type Config struct {
 	// before the seal. 0 defaults to 1 — the serial committer, which keeps
 	// virtual-time simulations bit-for-bit reproducible with earlier
 	// revisions. Values > 1 require a Store that tolerates concurrent
-	// WritePage calls for the same epoch (see storage.Backend).
+	// WritePage calls for the same epoch (see storage.Backend). While no
+	// application thread is parked in the manager, at most
+	// max(1, Env.Cores()−1) of them pull pages; while one is, all do.
 	CommitWorkers int
 	// CowCopyCost models the time to copy one page into the COW buffer
 	// (virtual-time experiments only; leave zero in real mode, where the

@@ -65,10 +65,6 @@ func Wrap(inner ckpt.FS, plan Plan) *FS {
 	return &FS{inner: inner, plan: plan}
 }
 
-// Inner returns the wrapped FS — the durable state a post-crash reopen
-// sees.
-func (f *FS) Inner() ckpt.FS { return f.inner }
-
 // Ops returns the number of mutating operations counted so far.
 func (f *FS) Ops() int64 {
 	f.mu.Lock()

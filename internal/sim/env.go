@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"time"
 )
@@ -42,6 +43,9 @@ type Env interface {
 	// NewCond returns a condition variable associated with l, which must
 	// have been returned by NewMutex of the same Env.
 	NewCond(l sync.Locker) Cond
+	// Cores returns how many processes can compute at once; 0 means
+	// unbounded. The page manager sizes its running commit workers by it.
+	Cores() int
 }
 
 // RealEnv implements Env with the wall clock and the sync package. The zero
@@ -71,6 +75,9 @@ func (e *RealEnv) NewMutex() sync.Locker { return &sync.Mutex{} }
 
 // NewCond implements Env.
 func (e *RealEnv) NewCond(l sync.Locker) Cond { return realCond{sync.NewCond(l)} }
+
+// Cores implements Env: the goroutines that can execute at once.
+func (e *RealEnv) Cores() int { return runtime.GOMAXPROCS(0) }
 
 type realCond struct{ c *sync.Cond }
 

@@ -123,6 +123,10 @@ func (k *Kernel) NewCond(l sync.Locker) Cond {
 	return &vcond{k: k, m: m}
 }
 
+// Cores implements Env. A process computes in zero virtual time, so any
+// number of them run at once: 0, unbounded.
+func (k *Kernel) Cores() int { return 0 }
+
 // Run dispatches events until no process is runnable. It returns nil when
 // every process has finished, and a *DeadlockError when processes remain
 // blocked with no pending events. Panics inside processes are re-raised
