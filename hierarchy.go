@@ -48,9 +48,9 @@ type DrainPolicy = multilevel.DrainPolicy
 // Hierarchy is a multi-level checkpoint store: pages are acknowledged at
 // local-tier speed and drained in the background to more resilient tiers.
 // It implements Store, so it can back a Runtime directly (or be built for
-// you via Options.Tiers). Restore is tier-aware: each epoch is read from
-// the fastest tier that still holds it, reconstructing from surviving
-// erasure shards when faster copies are lost.
+// you via Options.Tiers). Restore is tier-aware: each page's newest copy
+// is read once, from the fastest tier that still holds it, reconstructing
+// from surviving erasure shards when faster copies are lost.
 type Hierarchy struct {
 	inner *multilevel.Hierarchy
 	peers []*multilevel.PeerTier
@@ -184,12 +184,12 @@ func (h *Hierarchy) Err() error { return h.inner.Err() }
 // Close drains in-flight promotions and stops the drain workers.
 func (h *Hierarchy) Close() error { return h.inner.Close() }
 
-// Restore folds the checkpoint chain into a memory image, reading each
-// epoch from the fastest surviving tier, and reports per-epoch sources.
-// Tier loads for different epochs overlap across min(GOMAXPROCS, 8)
-// loaders while the fold stays in strict chain order, so the image and the
-// per-epoch sources are the same for any loader count; use RestoreWorkers
-// to pin it.
+// Restore rebuilds the newest image the tiers can still prove, reading
+// only the epochs that own a page of it, each from the fastest surviving
+// tier, and reports their sources and any epoch that set the restart point
+// back. Reads overlap across min(GOMAXPROCS, 8) readers while the fold
+// stays in chain order, so the image and the sources are the same for any
+// count; use RestoreWorkers to pin it.
 func (h *Hierarchy) Restore() (*Image, []TierRestoreStep, error) {
 	return h.RestoreWorkers(0)
 }

@@ -170,16 +170,6 @@ func (m *MemFS) Remove(name string) error {
 	return nil
 }
 
-// Truncate cuts a file to n bytes, simulating a torn write after a crash
-// on a medium without atomic publish.
-func (m *MemFS) Truncate(name string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if data, ok := m.files[name]; ok && n < len(data) {
-		m.files[name] = data[:n]
-	}
-}
-
 // tmpPrefix marks not-yet-published staging files in an OSFS directory.
 // List hides them and NewOSFS sweeps orphans left by a crash mid-write.
 const tmpPrefix = ".tmp-"

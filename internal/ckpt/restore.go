@@ -132,7 +132,7 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 // to workers concurrent readers; the result is the same for any width. It
 // returns how many segments owned at least one winner: the only ones it
 // opens. Restore and the compactor fold with it, and a fold of one entry is
-// a full read of it (EpochPages, the hierarchy's base reads).
+// a full read of it (the drain's read-back of an epoch or a base).
 //
 // The manifests alone decide the winners (pickWinners). Every record the
 // fold uses is verified — framing, size, payload hash, decode — and also
@@ -392,20 +392,6 @@ func (c *segmentCursor) skip(n int64) error {
 	return nil
 }
 
-// ListSealed returns the manifests of all sealed epochs on fs, sorted by
-// epoch, as LoadChain classifies them: a torn tail is not sealed, interior
-// corruption and mixed page sizes are errors. Multi-level tiers use it to
-// enumerate what they hold. Epochs already folded into a base (and
-// garbage-collected) are absent; ones a base covers but that are still on
-// disk are listed.
-func ListSealed(fs FS) ([]Manifest, error) {
-	ch, err := LoadChain(fs)
-	if err != nil {
-		return nil, err
-	}
-	return append(ch.Superseded, ch.Epochs...), nil
-}
-
 // ReadManifest returns the manifest of one sealed epoch, or an error when
 // the epoch is not sealed on fs.
 func ReadManifest(fs FS, epoch uint64) (Manifest, error) {
@@ -414,25 +400,6 @@ func ReadManifest(fs FS, epoch uint64) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("ckpt: epoch %d not sealed: %w", epoch, err)
 	}
 	return m, nil
-}
-
-// EpochPages reads one sealed epoch back in full — FoldChain over that one
-// entry, so every record is checked as restore checks it and a page written
-// twice keeps its later record — and returns its manifest plus the set of
-// its *physical* records (deduplicated pages are listed in the manifest's
-// Refs but carry no data — the content they reference is already in the
-// chain). The multi-level drainer uses it to promote a sealed epoch from
-// the fast tier to slower, more resilient tiers.
-func EpochPages(fs FS, epoch uint64) (Manifest, PageSet, error) {
-	m, err := ReadManifest(fs, epoch)
-	if err != nil {
-		return Manifest{}, PageSet{}, err
-	}
-	pages, _, err := FoldChain(fs, []Manifest{m}, 1)
-	if err != nil {
-		return Manifest{}, PageSet{}, err
-	}
-	return m, pages, nil
 }
 
 // LastSealedEpoch returns the newest sealed epoch number — through live

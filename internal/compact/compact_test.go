@@ -96,8 +96,10 @@ func TestRunOnceFoldsAndBoundsRestore(t *testing.T) {
 		t.Fatalf("compacted restore read %d segments", after.SegmentsRead)
 	}
 	// The folded epoch files are gone.
-	if _, _, err := ckpt.EpochPages(fs, 1); err == nil {
-		t.Fatal("folded epoch 1 still present after GC")
+	for _, name := range []string{"epoch-00000001.json", "epoch-00000001.pages"} {
+		if _, err := fs.Open(name); err == nil {
+			t.Fatalf("folded epoch 1's %s still present after GC", name)
+		}
 	}
 	// The restart point survives compaction.
 	if last, ok, err := ckpt.LastSealedEpoch(fs); err != nil || !ok || last != 12 {

@@ -186,12 +186,12 @@ func TestParallelCommitErrorFailsEpochOnce(t *testing.T) {
 // restore identically at every epoch.
 func chainSignature(t *testing.T, fs ckpt.FS) map[uint64]map[int]uint64 {
 	t.Helper()
-	ms, err := ckpt.ListSealed(fs)
+	ch, err := ckpt.LoadChain(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sig := map[uint64]map[int]uint64{}
-	for _, m := range ms {
+	for _, m := range append(ch.Superseded, ch.Epochs...) {
 		entry := map[int]uint64{}
 		if len(m.Hashes) != len(m.Pages) {
 			t.Fatalf("epoch %d: %d hashes for %d pages", m.Epoch, len(m.Hashes), len(m.Pages))

@@ -49,28 +49,6 @@ func gfDiv(a, b byte) byte {
 
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// mulAddSliceRef computes dst[i] ^= c * src[i] for all i, one gfMul-style
-// log/antilog pair per byte. Encode and Decode now run the table-driven
-// kernel in kernel.go; this reference survives as the oracle for the
-// exhaustive equivalence sweep and the baseline for the GF(256) benchmark.
-func mulAddSliceRef(dst, src []byte, c byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	logC := gfLog[c]
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+gfLog[s]]
-		}
-	}
-}
-
 // invertMatrix inverts a k×k matrix over GF(256) in place using Gauss-Jordan
 // elimination, returning false if the matrix is singular.
 func invertMatrix(m [][]byte) bool {

@@ -3,7 +3,7 @@ package erasure
 import "sync/atomic"
 
 // Table-driven GF(256) multiply-accumulate kernel. The historical inner
-// loop (see mulAddSliceRef) pays a zero-test branch and two table lookups
+// loop (mulAddRef in the tests) pays a zero-test branch and two table lookups
 // (log + antilog) per byte; reconstruction of a wide chain runs this loop
 // over every byte of every rebuilt shard, so it dominates the restore
 // critical path whenever erasure-coded peers are the fastest surviving
@@ -75,7 +75,7 @@ func (rc *rowCache) row(c byte) *mulRow {
 
 // MulAdd computes dst[i] ^= coef*src[i] over the common prefix of dst and
 // src using the Coder's cached multiplication tables. It is safe for
-// concurrent use; benchmarks compare it against MulAddRef.
+// concurrent use; benchmarks compare it against mulAddRef.
 //
 // On amd64 with SSSE3 the bulk of the slice goes through a 16-lane
 // nibble-table kernel (kernel_amd64.s) built from the same row; elsewhere
@@ -88,12 +88,4 @@ func (c *Coder) MulAdd(dst, src []byte, coef byte) {
 		return
 	}
 	mulAddRow(dst, src, c.rows.row(coef))
-}
-
-// MulAddRef is the pre-table reference kernel: per byte, a zero test and a
-// log/antilog lookup pair (gfMul inlined). It is retained as the ground
-// truth for equivalence tests and as the baseline the GF(256) benchmark
-// gate measures speedup against.
-func MulAddRef(dst, src []byte, coef byte) {
-	mulAddSliceRef(dst, src, coef)
 }

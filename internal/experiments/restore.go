@@ -14,11 +14,11 @@ import (
 )
 
 // The one size the restore scenario runs at: a wide chain, every epoch
-// rewriting the full working set.
+// writing its own slice of the working set.
 const (
 	restorePageSize = 4096
 	restoreEpochs   = 48
-	restorePages    = 64 // rewritten per epoch
+	restorePages    = 64 // written per epoch
 	restoreServers  = 8  // simulated PFS servers
 )
 
@@ -32,7 +32,9 @@ const (
 // reads are charged to the simulated links, so the speedup measures how
 // well overlapping epoch loads aggregates server/NIC bandwidth, independent
 // of host core count. Eight loaders must reach 3x over one on the PFS
-// variant and 2x on the peer variant.
+// variant and 2x on the peer variant. A last run rewrites the same pages in
+// every epoch: only the newest epoch owns a winner, and the restore must
+// read it alone.
 func runRestore(w io.Writer, _ int) error {
 	fmt.Fprintf(w, "parallel restore pipeline: %d epochs x %d pages (%d KB/page), %d PFS servers\n",
 		restoreEpochs, restorePages, restorePageSize/1024, restoreServers)
@@ -42,7 +44,7 @@ func runRestore(w io.Writer, _ int) error {
 		gate float64
 		run  func() ([]restorePoint, error)
 	}{
-		{"l1-wipe-pfs", 3, runRestorePFS},
+		{"l1-wipe-pfs", 3, func() ([]restorePoint, error) { return runRestorePFS(false) }},
 		{"peer-loss", 2, runRestorePeer},
 	} {
 		points, err := v.run()
@@ -66,6 +68,15 @@ func runRestore(w io.Writer, _ int) error {
 			}
 		}
 	}
+	points, err := runRestorePFS(true)
+	if err != nil {
+		return fmt.Errorf("full-rewrite: %w", err)
+	}
+	fmt.Fprintf(w, "\nfull-rewrite: %d epochs rewriting the same %d pages, %d epoch(s) read\n",
+		restoreEpochs, restorePages, points[0].read)
+	if points[0].read != 1 {
+		return fmt.Errorf("full-rewrite read %d epochs, want only the newest", points[0].read)
+	}
 	return nil
 }
 
@@ -74,11 +85,10 @@ type restorePoint struct {
 	workers  int
 	elapsed  time.Duration // virtual time of the whole restore
 	tierBusy time.Duration // summed SpanRestore durations (overlap > elapsed)
+	read     int           // epochs the restore read
 }
 
-// restoreFill is the deterministic page content: every epoch rewrites the
-// full working set, so the chain is maximally wide and every epoch's read
-// cost is equal.
+// restoreFill is the deterministic page content.
 func restoreFill(p, e int) []byte {
 	buf := make([]byte, restorePageSize)
 	for i := range buf {
@@ -89,8 +99,11 @@ func restoreFill(p, e int) []byte {
 
 // sweepRestore builds a 2-tier hierarchy of a local tier over lower, seals
 // the chain through it, wipes L1, applies the variant's further damage, and
-// restores at every worker count, measuring virtual time per point.
-func sweepRestore(k *sim.Kernel, lower multilevel.Tier, damage func()) ([]restorePoint, error) {
+// restores at every worker count, measuring virtual time per point. Each
+// epoch writes its own slice of the working set, so every epoch owns
+// winners and every epoch's read costs the same — or, with rewrite, the
+// same pages as every other epoch.
+func sweepRestore(k *sim.Kernel, lower multilevel.Tier, damage func(), rewrite bool) ([]restorePoint, error) {
 	met := obs.New(k.Now)
 	met.Spans = obs.NewSpanLog(4 * restoreEpochs * len(sweepWorkers))
 	local := multilevel.NewLocalTier(k, "local", &ckpt.MemFS{}, restorePageSize, nil)
@@ -106,8 +119,12 @@ func sweepRestore(k *sim.Kernel, lower multilevel.Tier, damage func()) ([]restor
 	k.Go("app", func() {
 		for e := 1; e <= restoreEpochs; e++ {
 			for p := 0; p < restorePages; p++ {
-				data := restoreFill(p, e)
-				if err := h.WritePage(uint64(e), p, data, len(data)); err != nil {
+				page := p
+				if !rewrite {
+					page += (e - 1) * restorePages
+				}
+				data := restoreFill(page, e)
+				if err := h.WritePage(uint64(e), page, data, len(data)); err != nil {
 					panic(err)
 				}
 			}
@@ -128,12 +145,12 @@ func sweepRestore(k *sim.Kernel, lower multilevel.Tier, damage func()) ([]restor
 		for _, w := range sweepWorkers {
 			spanMark := len(met.Spans.Snapshot())
 			start := k.Now()
-			im, _, err := h.RestoreWith(multilevel.RestoreOptions{Workers: w})
+			im, steps, err := h.RestoreWith(multilevel.RestoreOptions{Workers: w})
 			if err != nil {
 				restoreErr = fmt.Errorf("workers=%d: %w", w, err)
 				return
 			}
-			pt := restorePoint{workers: w, elapsed: k.Now() - start}
+			pt := restorePoint{workers: w, elapsed: k.Now() - start, read: len(steps)}
 			for _, s := range met.Spans.Snapshot()[spanMark:] {
 				if s.Kind == obs.SpanRestore {
 					pt.tierBusy += s.Dur()
@@ -158,11 +175,11 @@ func sweepRestore(k *sim.Kernel, lower multilevel.Tier, damage func()) ([]restor
 // back from the parallel file system, whose per-request overhead and
 // striping reward overlapping reads — the client NIC is left unmodeled, as
 // at these page sizes the server request cost dominates.
-func runRestorePFS() ([]restorePoint, error) {
+func runRestorePFS(rewrite bool) ([]restorePoint, error) {
 	k := sim.NewKernel()
 	pfs := multilevel.NewLocalTier(k, "pfs", &ckpt.MemFS{}, restorePageSize,
 		storage.NewSimPFS(nil, pfsServerLinks(k, restoreServers)))
-	return sweepRestore(k, pfs, func() {})
+	return sweepRestore(k, pfs, func() {}, rewrite)
 }
 
 // runRestorePeer puts erasure-coded peers under the local tier and fails
@@ -186,5 +203,5 @@ func runRestorePeer() ([]restorePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweepRestore(k, peer, nodes[0].Fail)
+	return sweepRestore(k, peer, nodes[0].Fail, false)
 }

@@ -378,13 +378,6 @@ func (h *Hierarchy) PageSize() int { return h.pageSize }
 // Local returns the L1 tier.
 func (h *Hierarchy) Local() *LocalTier { return h.local }
 
-// Tiers returns all tiers, fastest first.
-func (h *Hierarchy) Tiers() []Tier {
-	out := make([]Tier, 0, 1+len(h.lower))
-	out = append(out, h.local)
-	return append(out, h.lower...)
-}
-
 // WritePage implements storage.Backend: the page goes to L1 only, so the
 // committer is acknowledged at local-storage speed.
 func (h *Hierarchy) WritePage(epoch uint64, page int, data []byte, size int) error {

@@ -232,6 +232,16 @@ func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	return &EpochData{Epoch: epoch, PageSize: meta.pageSize, Pages: pages}, nil
 }
 
+// PageIDs implements Tier from the tier's record of the epoch.
+func (t *PeerTier) PageIDs(epoch uint64) ([]int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if meta, ok := t.meta[epoch]; ok {
+		return meta.ids, nil
+	}
+	return nil, fmt.Errorf("multilevel: peer tier %s does not hold epoch %d", t.name, epoch)
+}
+
 // Epochs implements Tier.
 func (t *PeerTier) Epochs() ([]uint64, error) {
 	t.mu.Lock()

@@ -3,6 +3,7 @@ package multilevel
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -126,7 +127,7 @@ func (h *Hierarchy) Scrub() (ScrubReport, error) {
 // epoch unsealed (and the repair reruns) rather than half-healed.
 func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	fs := h.local.FS()
-	r := h.loadEpoch(h.lower, hs.Epoch)
+	r := h.loadEpoch(hs.Epoch, 0, nil)
 	if r.ep == nil {
 		return fmt.Errorf("no lower tier holds epoch %d (%s)", hs.Epoch, strings.Join(r.detail, "; "))
 	}
@@ -152,7 +153,7 @@ func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error 
 		return err
 	}
 	if h.obs != nil {
-		h.obs.Trace(obs.StageRepair, hs.Epoch, -1, r.level+1, int64(r.ep.Pages.Len()))
+		h.obs.Trace(obs.StageRepair, hs.Epoch, -1, r.level, int64(r.ep.Pages.Len()))
 	}
 	entry.Action = "repaired from " + r.from
 	return nil
@@ -161,34 +162,33 @@ func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error 
 // repairBase re-folds a damaged compacted base from the per-epoch copies
 // the lower tiers kept (the compactor's fold gate guarantees every folded
 // epoch settled below before the fold, and lower tiers never collect).
-// Folding the physical records of every tier epoch up to the base's To,
-// oldest to newest, reproduces the base image exactly: a page whose
-// newest write was deduplicated is bit-identical to its newest physical
-// record by definition. Epochs absent from every lower tier are simply
-// unknown here; an epoch that is listed but unloadable aborts the repair
-// rather than publishing a base with a hole.
+// Read winner-only as a restore reads it, the image at the newest tier
+// epoch up to the base's To is the base: a page whose newest write was
+// deduplicated is bit-identical to its newest physical record. Epochs no
+// lower tier lists are unknown here; one listed but not loadable aborts
+// the repair rather than publishing a base with a hole.
 func (h *Hierarchy) repairBase(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	fs := h.local.FS()
 	var from, to uint64
 	if n, err := fmt.Sscanf(hs.Manifest, "base-%d-%d.json", &from, &to); err != nil || n != 2 {
 		return fmt.Errorf("unparseable base manifest name %q", hs.Manifest)
 	}
-	epochs := tierEpochs(h.lower, func(e uint64) bool { return e <= to })
-	if len(epochs) == 0 {
+	p := h.newPlan(nil)
+	p.obs = nil // a repair's reads are not a restore's
+	t, owners, back, ok := p.pick(sort.Search(len(p.epochs), func(i int) bool { return p.epochs[i] > to }))
+	var im *ckpt.Image
+	if ok && back == nil {
+		im, _, back = p.fold(t, owners, 1)
+	}
+	if back != nil {
+		return fmt.Errorf("epoch %d of base [%d,%d] %s", back.Epoch, from, to, back.Detail)
+	}
+	if im == nil {
 		return fmt.Errorf("no lower tier holds any epoch of base [%d,%d]", from, to)
 	}
-	var pages ckpt.PageSet
-	var level int8
-	if err := h.foldEpochs(h.lower, epochs, 1, func(e uint64, r epochLoad) error {
-		if r.ep == nil {
-			return fmt.Errorf("epoch %d of base [%d,%d] unloadable on every tier (%s)",
-				e, from, to, strings.Join(r.detail, "; "))
-		}
-		pages.Merge(&r.ep.Pages)
-		level = r.level + 1
-		return nil
-	}); err != nil {
-		return err
+	level := int8(1)
+	for _, o := range owners {
+		level = int8(o.tier + 1)
 	}
 	if hs.Status == ckpt.StatusManifestCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Manifest)
@@ -196,11 +196,11 @@ func (h *Hierarchy) repairBase(entry *ScrubEntry, hs ckpt.SegmentHealth) error {
 	if hs.Segment != "" && hs.Status == ckpt.StatusSegmentCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Segment)
 	}
-	if _, err := ckpt.WriteBase(fs, from, to, h.pageSize, &pages, 0); err != nil {
+	if _, err := ckpt.WriteBase(fs, from, to, h.pageSize, &im.Pages, 0); err != nil {
 		return err
 	}
 	if h.obs != nil {
-		h.obs.Trace(obs.StageRepair, to, -1, level, int64(pages.Len()))
+		h.obs.Trace(obs.StageRepair, to, -1, level, int64(im.Pages.Len()))
 	}
 	entry.Action = "repaired by re-folding lower-tier epochs"
 	return nil

@@ -4,9 +4,11 @@
 // epochs to progressively more resilient tiers — an erasure-coded peer tier
 // striping Reed-Solomon shards across cluster nodes (L2) and a parallel
 // file system (L3). A per-epoch tier manifest records where each epoch
-// lives, and restore is tier-aware: it reads each epoch from the fastest
-// tier that still holds it, reconstructing from any k of k+m erasure shards
-// when faster copies are lost.
+// lives, and restore is tier-aware: it picks each page's newest copy from
+// the tiers' metadata and reads only those, L1's in one fold and below it
+// the epochs that still own a page, each from the fastest tier that
+// delivers it, reconstructing from any k of k+m erasure shards when faster
+// copies are lost.
 //
 // The hierarchy runs unchanged under the real clock and under the
 // deterministic virtual-time kernel (internal/sim), so tier draining, link
@@ -33,14 +35,16 @@ type EpochData struct {
 
 // Tier is one level of the checkpoint hierarchy. Store persists a complete
 // sealed epoch; Load reads one back (verifying integrity); Epochs lists the
-// sealed epochs the tier currently holds. Implementations must tolerate
-// concurrent Store calls for different epochs (the drainer may run several
-// workers per tier).
+// sealed epochs the tier currently holds; PageIDs lists an epoch's pages
+// from metadata alone, so restore loads only the epochs that own a page of
+// the image. Implementations must tolerate concurrent Store calls for
+// different epochs (the drainer may run several workers per tier).
 type Tier interface {
 	Name() string
 	Store(ep *EpochData) error
 	Load(epoch uint64) (*EpochData, error)
 	Epochs() ([]uint64, error)
+	PageIDs(epoch uint64) ([]int, error)
 }
 
 // ShardLayout describes how an epoch's erasure shards are spread over peer
@@ -166,22 +170,38 @@ func (t *LocalTier) Store(ep *EpochData) error {
 	return nil
 }
 
-// Load implements Tier, verifying record hashes on the way back. A timing
-// backend that models reads (storage.PageReader) is billed for every page,
-// in ascending page order.
+// Load implements Tier, verifying record hashes on the way back.
 func (t *LocalTier) Load(epoch uint64) (*EpochData, error) {
-	m, pages, err := ckpt.EpochPages(t.fs, epoch)
+	m, err := ckpt.ReadManifest(t.fs, epoch)
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := t.timing.(storage.PageReader); ok {
+	pages, _, err := t.fold([]ckpt.Manifest{m}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &EpochData{Epoch: epoch, PageSize: m.PageSize, Pages: pages}, nil
+}
+
+// fold reads chain entries winner-only (ckpt.FoldChain), billing a timing
+// backend that models reads (storage.PageReader) for every page read.
+func (t *LocalTier) fold(entries []ckpt.Manifest, workers int) (ckpt.PageSet, int, error) {
+	pages, segments, err := ckpt.FoldChain(t.fs, entries, workers)
+	if r, ok := t.timing.(storage.PageReader); ok && err == nil {
+		epoch := entries[len(entries)-1].Epoch
 		for id, data := range pages.All() {
 			if err := r.ReadPage(epoch, id, len(data)); err != nil {
-				return nil, fmt.Errorf("multilevel: tier %s epoch %d page %d read: %w", t.name, epoch, id, err)
+				return ckpt.PageSet{}, 0, fmt.Errorf("multilevel: tier %s epoch %d page %d read: %w", t.name, epoch, id, err)
 			}
 		}
 	}
-	return &EpochData{Epoch: epoch, PageSize: m.PageSize, Pages: pages}, nil
+	return pages, segments, err
+}
+
+// PageIDs implements Tier from the epoch's manifest.
+func (t *LocalTier) PageIDs(epoch uint64) ([]int, error) {
+	m, err := ckpt.ReadManifest(t.fs, epoch)
+	return m.Pages, err
 }
 
 // Has implements EpochHolder: a sealed manifest implies a complete copy
@@ -191,17 +211,18 @@ func (t *LocalTier) Has(epoch uint64) bool {
 	return err == nil
 }
 
-// Epochs implements Tier.
+// Epochs implements Tier from the manifests' names, without decoding them:
+// a damaged manifest is listed, and fails when the epoch is read.
 func (t *LocalTier) Epochs() ([]uint64, error) {
-	ms, err := ckpt.ListSealed(t.fs)
-	if err != nil {
-		return nil, err
+	names, err := t.fs.List()
+	var out []uint64
+	for _, n := range names {
+		var e uint64
+		if k, err := fmt.Sscanf(n, "epoch-%d.json", &e); err == nil && k == 1 {
+			out = append(out, e)
+		}
 	}
-	out := make([]uint64, len(ms))
-	for i, m := range ms {
-		out[i] = m.Epoch
-	}
-	return out, nil
+	return out, err
 }
 
 // Wipe deletes every file of the tier, simulating total loss of the fast
