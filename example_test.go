@@ -2,8 +2,10 @@ package aickpt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	aickpt "repro"
@@ -184,4 +186,117 @@ func ExampleHierarchy_Restore() {
 	// epoch 3 read from the peer tier
 	// epoch 4 read from the peer tier
 	// restored epoch 4, bit-identical: true
+}
+
+// A 128×128 heat-diffusion solver over a protected region, checkpointed
+// every 20 of its 60 steps. Page 0 records the last completed step, the
+// metadata a restartable solver needs; the grid of float64 follows it.
+const (
+	stencilN     = 128
+	stencilSteps = 60
+	stencilEvery = 20
+)
+
+type stencilGrid struct{ r *aickpt.Region }
+
+func (g stencilGrid) step() int {
+	var b [8]byte
+	g.r.Read(0, b[:])
+	return int(binary.LittleEndian.Uint64(b[:]))
+}
+
+func (g stencilGrid) setStep(s int) {
+	g.r.Write(0, binary.LittleEndian.AppendUint64(nil, uint64(s)))
+}
+
+func (g stencilGrid) get(i, j int) float64 {
+	var b [8]byte
+	g.r.Read(4096+(i*stencilN+j)*8, b[:])
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+}
+
+func (g stencilGrid) set(i, j int, v float64) {
+	g.r.Write(4096+(i*stencilN+j)*8, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+}
+
+// solveStencil runs the solver in dir from the last checkpoint there, or
+// from a hot top edge, up to step 60 — or "crashes" after step crashAt
+// (when > 0): no cleanup and no final checkpoint. It returns a weighted
+// checksum of the grid.
+func solveStencil(dir string, crashAt int) float64 {
+	rt, err := aickpt.New(aickpt.Options{Dir: dir, CowBuffer: 256 << 10})
+	if err != nil {
+		log.Fatal(err)
+	}
+	g := stencilGrid{rt.MallocProtected(4096 + stencilN*stencilN*8)}
+	if im, err := aickpt.Restore(dir); err == nil {
+		if err := rt.LoadImage(im, g.r); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  restarted from epoch %d at step %d\n", im.Epoch, g.step())
+	} else {
+		for j := 0; j < stencilN; j++ {
+			g.set(0, j, 100)
+		}
+	}
+	for s := g.step() + 1; s <= stencilSteps; s++ {
+		// One Gauss-Seidel sweep: physical fidelity is not the point.
+		for i := 1; i < stencilN-1; i++ {
+			for j := 1; j < stencilN-1; j++ {
+				g.set(i, j, 0.25*(g.get(i-1, j)+g.get(i+1, j)+g.get(i, j-1)+g.get(i, j+1)))
+			}
+		}
+		g.setStep(s)
+		if s%stencilEvery == 0 {
+			rt.Checkpoint()
+		}
+		if s == crashAt {
+			break
+		}
+	}
+	rt.WaitIdle()
+	var sum float64
+	for i := 0; i < stencilN; i++ {
+		for j := 0; j < stencilN; j++ {
+			sum += g.get(i, j) * float64(i+3*j+1)
+		}
+	}
+	if err := rt.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return sum
+}
+
+// Restart after a crash: a solver that dies at step 33 restarts from its
+// last completed checkpoint (epoch 1, step 20) and finishes with the
+// checksum of a run that never crashed.
+func Example_stencilRestart() {
+	ref, err := os.MkdirTemp("", "stencil-ref-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(ref)
+	crash, err := os.MkdirTemp("", "stencil-crash-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(crash)
+
+	fmt.Println("reference run (no crash):")
+	want := solveStencil(ref, 0)
+	fmt.Println("crashing run (dies at step 33):")
+	solveStencil(crash, 33)
+	fmt.Println("restarted run:")
+	got := solveStencil(crash, 0)
+	fmt.Printf("reference checksum: %.6f\n", want)
+	fmt.Printf("restarted checksum: %.6f\n", got)
+	fmt.Println("restart reproduced the uninterrupted result exactly:", want == got)
+	// Output:
+	// reference run (no crash):
+	// crashing run (dies at step 33):
+	// restarted run:
+	//   restarted from epoch 1 at step 20
+	// reference checksum: 16483369.419879
+	// restarted checksum: 16483369.419879
+	// restart reproduced the uninterrupted result exactly: true
 }

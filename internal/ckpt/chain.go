@@ -19,6 +19,12 @@ import (
 // treated as v1 and restored exactly as before.
 const FormatV2 = 2
 
+// FormatV3 keeps v2's record layout and manifest and changes only the hash:
+// record and content hashes are XXH64 where v1 and v2 use FNV-64a. Every
+// writer stamps v3; each chain entry is read with the hash its own format
+// names, so a v2 chain extended by v3 epochs restores as one chain.
+const FormatV3 = 3
+
 // PageRef records one deduplicated page of an epoch: the page's content is
 // bit-identical to the physical record it references, so no segment record
 // was written. Refs are pure annotations — restore semantics ("newest write
@@ -30,7 +36,8 @@ type PageRef struct {
 	Page int `json:"page"`
 	// Epoch is the epoch whose segment physically holds the content.
 	Epoch uint64 `json:"epoch"`
-	// Hash is the FNV-64a hash of the raw (uncompressed) page content.
+	// Hash is the raw (uncompressed) page content's hash, by the hash of
+	// the manifest's Format (see FormatV3).
 	Hash uint64 `json:"hash"`
 }
 
@@ -68,10 +75,19 @@ func manifestFile(m Manifest) string {
 	return manifestName(m.Epoch)
 }
 
-// contentHash is the FNV-64a hash of raw page content, computed inline:
-// the commit path hashes every page and must not allocate a hasher per
-// page. Bit-identical to the hash/fnv-based implementation it replaces.
-func contentHash(data []byte) uint64 { return util.Fnv64a(data) }
+// contentHash is the hash every writer stamps, both on a record's payload
+// and, as the dedup key, on a page's raw content: XXH64, the FormatV3 hash.
+// It runs inline with no allocation, since the commit path hashes every page.
+func contentHash(data []byte) uint64 { return util.Xxh64(data) }
+
+// hash is the hash of m's format, for checking its records and content
+// hashes: XXH64 from FormatV3 on, FNV-64a before.
+func (m *Manifest) hash(data []byte) uint64 {
+	if m.Format >= FormatV3 {
+		return util.Xxh64(data)
+	}
+	return util.Fnv64a(data)
+}
 
 // Chain is the logical state of a repository: the newest committed base (if
 // any), the live epochs after it, and the garbage left behind by earlier
@@ -328,7 +344,7 @@ func WriteBase(fs FS, from, to uint64, pageSize int, pages *PageSet, codec uint8
 	man := Manifest{
 		Epoch:    to,
 		PageSize: pageSize,
-		Format:   FormatV2,
+		Format:   FormatV3,
 		Codec:    codec,
 		Base:     &BaseRange{From: from, To: to},
 	}

@@ -76,8 +76,8 @@ func TestDedupElidesIdenticalRewrites(t *testing.T) {
 	if m2.Refs[0].Page != 0 || m2.Refs[0].Epoch != 1 {
 		t.Fatalf("ref = %+v", m2.Refs[0])
 	}
-	if m2.Format != FormatV2 || len(m2.Hashes) != len(m2.Pages) {
-		t.Fatalf("v2 fields missing: %+v", m2)
+	if m2.Format != FormatV3 || len(m2.Hashes) != len(m2.Pages) {
+		t.Fatalf("v3 fields missing: %+v", m2)
 	}
 	st := r.DedupStats()
 	if st.PagesDeduped != 1 || st.BytesDeduped != 32 || st.PagesStored != 3 {

@@ -58,7 +58,11 @@ func oracleSegment(fs FS, m Manifest) (*PageSet, error) {
 			return nil, fmt.Errorf("record %d: truncated payload", n)
 		}
 		payload := seg[recordHeaderSize : recordHeaderSize+size]
-		if util.Fnv64a(payload) != binary.LittleEndian.Uint64(seg[12:]) {
+		hash := util.Fnv64a // v1 and v2 records
+		if m.Format >= FormatV3 {
+			hash = util.Xxh64
+		}
+		if hash(payload) != binary.LittleEndian.Uint64(seg[12:]) {
 			return nil, fmt.Errorf("record %d: hash mismatch", n)
 		}
 		data := bytes.Clone(payload)
@@ -255,7 +259,7 @@ func TestFoldChainDamage(t *testing.T) {
 		}, "epoch 3 page 0", 3, true},
 		{"truncated winner", func(fs *MemFS) { fs.Truncate(segmentName(3), 30) }, "epoch 3 page 0", 3, false},
 		{"bytes after the last record", func(fs *MemFS) {
-			fs.files[segmentName(3)] = append(fs.files[segmentName(3)], buildRecord(5, page(1, pageSize))...)
+			fs.files[segmentName(3)] = append(fs.files[segmentName(3)], buildRecord(FormatV3, 5, page(1, pageSize))...)
 		}, "", 3, false},
 	} {
 		for _, codec := range []compress.Codec{compress.None, compress.Flate} {

@@ -20,7 +20,7 @@ import (
 //	magic   uint32  'AICP'
 //	page    uint32
 //	size    uint32  (payload bytes)
-//	hash    uint64  (FNV-64a of payload)
+//	hash    uint64  (of payload: XXH64 from FormatV3 on, FNV-64a before)
 //	payload [size]byte
 //
 // The manifest epoch-%08d.json is written when the epoch is sealed and is
@@ -52,10 +52,13 @@ type Manifest struct {
 	Codec uint8 `json:"codec,omitempty"`
 	Pages []int `json:"pages"`
 	// Format is the manifest format version: 0 (absent) is the v1 format,
-	// FormatV2 adds Hashes, Refs and Base.
+	// FormatV2 adds Hashes, Refs and Base, FormatV3 changes their hash and
+	// the records' from FNV-64a to XXH64. It picks the hash the entry is
+	// read with.
 	Format int `json:"format,omitempty"`
-	// Hashes holds the FNV-64a hash of the raw (uncompressed) content of
-	// Pages[i]; the dedup index is rebuilt from it after a restart.
+	// Hashes holds the hash (by Format) of the raw (uncompressed) content
+	// of Pages[i]; the dedup index is rebuilt from v3 Hashes after a
+	// restart.
 	Hashes []uint64 `json:"hashes,omitempty"`
 	// Refs lists the pages of the epoch elided by content-addressed dedup:
 	// their content is bit-identical to an earlier physical record.
@@ -118,7 +121,7 @@ func (w *segmentWriter) reset(f io.WriteCloser) {
 // file order is manifest order for any number of concurrent callers. The
 // one rule of this lock: nothing runs under it but the header store and the
 // copy into the buffer (and the buffer's own flush when it fills). payload
-// is already codec-encoded, recHash its FNV-64a and rawHash that of the
+// is already codec-encoded, recHash its contentHash and rawHash that of the
 // page before encoding — the callers hash, and for codec None hash once.
 // payload is not retained.
 func (w *segmentWriter) append(man *Manifest, page int, payload []byte, recHash, rawHash uint64) error {
@@ -251,9 +254,9 @@ func sortManifests(ms []Manifest) {
 
 // pageIdx is one dedup-index entry: the newest committed content of a page.
 type pageIdx struct {
-	hash    uint64 // FNV-64a of the raw content
+	hash    uint64 // contentHash of the raw content (valid if hasHash)
 	epoch   uint64 // epoch whose segment physically holds it
-	hasHash bool   // false for content recorded by v1 manifests (no hash)
+	hasHash bool   // false for content recorded by a v1 (no hash) or v2 (FNV-64a) manifest
 }
 
 // DedupStats counts the repository's content-addressed dedup activity since
@@ -279,12 +282,12 @@ type DedupStats struct {
 // buffer and the manifest), with EndEpoch acting as the epoch's barrier.
 // The repository starts no goroutine.
 //
-// Repositories write format-v2 manifests: every stored page carries a
+// Repositories write format-v3 manifests: every stored page carries a
 // content hash, and pages whose content is bit-identical to the newest
 // chain entry are deduplicated — recorded as a manifest Ref instead of a
 // segment record. The dedup index is rebuilt from the chain's manifests on
 // first use, so a restarted process keeps deduplicating against the
-// existing chain. Dedup trusts the 64-bit FNV-1a content hash (as in
+// existing chain. Dedup trusts the 64-bit XXH64 content hash (as in
 // hash-based differential checkpointing); a collision between two distinct
 // page images is vanishingly unlikely (~2^-64 per pair) but not impossible.
 type Repository struct {
@@ -391,9 +394,11 @@ func (r *Repository) DedupStats() DedupStats {
 // loadIndexLocked runs once, before the first epoch opens: the one strict
 // chain load both validates the chain we are about to extend (page size,
 // no interior damage) and rebuilds the dedup index from its manifests (no
-// segment reads: v2 manifests carry content hashes). Pages recorded by v1
-// manifests enter the index without a hash and are never deduplicated
-// against — their first rewrite stores physically and upgrades them.
+// segment reads: v3 manifests carry content hashes). Pages and refs
+// recorded by older manifests enter the index without a hash — v1 has
+// none, and v2's FNV-64a values must never meet an XXH64 one — so they are
+// never deduplicated against: their first rewrite stores physically and
+// upgrades them.
 func (r *Repository) loadIndexLocked() error {
 	ch, err := LoadChain(r.fs)
 	if err != nil {
@@ -404,7 +409,7 @@ func (r *Repository) loadIndexLocked() error {
 	}
 	r.index, r.pending = make(map[int]pageIdx), make(map[int]pageIdx)
 	for _, m := range ch.Live() {
-		hasHashes := m.Format >= FormatV2 && len(m.Hashes) == len(m.Pages)
+		hasHashes := m.Format >= FormatV3 && len(m.Hashes) == len(m.Pages)
 		for i, p := range m.Pages {
 			e := pageIdx{epoch: m.Epoch}
 			if hasHashes {
@@ -413,7 +418,7 @@ func (r *Repository) loadIndexLocked() error {
 			r.index[p] = e
 		}
 		for _, ref := range m.Refs {
-			r.index[ref.Page] = pageIdx{hash: ref.Hash, epoch: ref.Epoch, hasHash: true}
+			r.index[ref.Page] = pageIdx{hash: ref.Hash, epoch: ref.Epoch, hasHash: m.Format >= FormatV3}
 		}
 	}
 	return nil
@@ -464,7 +469,7 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 			}
 		}
 		r.curMan = Manifest{
-			Epoch: epoch, PageSize: r.pageSize, Codec: uint8(r.codec), Format: FormatV2,
+			Epoch: epoch, PageSize: r.pageSize, Codec: uint8(r.codec), Format: FormatV3,
 			// The last epoch's arrays, emptied by discardEpochLocked.
 			Pages: r.curMan.Pages, Hashes: r.curMan.Hashes, Refs: r.curMan.Refs,
 		}
@@ -557,7 +562,7 @@ func (r *Repository) EndEpoch(epoch uint64) error {
 	if !r.curOpen {
 		// An epoch with zero dirty pages still seals (empty manifest) so
 		// restore knows the checkpoint completed.
-		man = &Manifest{Epoch: epoch, PageSize: r.pageSize, Format: FormatV2}
+		man = &Manifest{Epoch: epoch, PageSize: r.pageSize, Format: FormatV3}
 	} else if man.Epoch != epoch {
 		return fmt.Errorf("ckpt: sealing epoch %d while epoch %d is open", epoch, man.Epoch)
 	}

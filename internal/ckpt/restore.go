@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/sim"
-	"repro/internal/util"
 )
 
 // Image is a restored memory image: the newest committed content of every
@@ -135,10 +134,11 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 // a full read of it (the drain's read-back of an epoch or a base).
 //
 // The manifests alone decide the winners (pickWinners). Every record the
-// fold uses is verified — framing, size, payload hash, decode — and also
+// fold uses is verified — framing, size, payload hash by the entry's own
+// format (so one fold reads a mixed v2→v3 chain), decode — and also
 // against its manifest: the header names the manifest's page, and, for a
-// raw record under a v2 manifest, the record hash is the manifest's content
-// hash. A bad winner fails the fold, naming its epoch and page; older
+// raw record under a v2 or later manifest, the record hash is the
+// manifest's content hash. A bad winner fails the fold, naming its epoch and page; older
 // content never stands in for it. Records a newer copy supersedes are
 // neither hashed nor decoded; VerifyChain reads them with the same checks.
 func FoldChain(fs FS, entries []Manifest, workers int) (PageSet, int, error) {
@@ -309,8 +309,9 @@ func (u foldUnit) read(fs FS, pages [][]byte) error {
 }
 
 // record reads and verifies the record at the cursor, pick p: framing and
-// size, that the header names the manifest's page, the payload hash, the
-// decode, and, for a raw record, the v2 manifest's content hash. A page the
+// size, that the header names the manifest's page, the payload hash by the
+// manifest's format, the decode, and, for a raw record, the manifest's
+// content hash. A page the
 // caller keeps comes back in its own allocation, so that a set never pins a
 // segment; a payload nothing keeps — a coded one, or any record of a
 // verification — goes through *scratch, allocated once per read.
@@ -335,14 +336,14 @@ func (u foldUnit) record(c *segmentCursor, p pick, scratch *[]byte, keep bool) (
 	if err := c.read(data); err != nil {
 		return nil, fmt.Errorf("truncated payload: %w", err)
 	}
-	if util.Fnv64a(data) != sum {
+	if m.hash(data) != sum {
 		return nil, errors.New("hash mismatch")
 	}
 	if m.Codec != 0 {
 		return compress.Decode(data, m.PageSize)
 	}
-	// A raw record's hash is its content hash, so checking it against the
-	// v2 manifest's costs nothing. A coded record's would cost a second pass
+	// A raw record's hash is its content hash (both by m's format), so
+	// checking it against the manifest's costs nothing. A coded record's would cost a second pass
 	// over the decoded page; its payload hash and the decoder's exact
 	// output size cover it.
 	if m.Format >= FormatV2 && len(m.Hashes) == len(m.Pages) && sum != m.Hashes[p.rec] {

@@ -175,11 +175,16 @@ func Quarantine(fs FS, name string) error {
 // written first, the manifest — the commit point — last, exactly like the
 // original seal, so a crash mid-repair leaves the epoch unsealed rather
 // than half-repaired and the repair simply reruns. pages holds the raw
-// content (the rewritten records are stored uncompressed); refs
-// preserves the epoch's dedup annotations when the old manifest was still
-// decodable, or nil to drop them (refs are never needed for restore).
-func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages *PageSet, refs []PageRef) (Manifest, error) {
-	man := Manifest{Epoch: epoch, PageSize: pageSize, Format: FormatV2, Refs: refs}
+// content (the rewritten records are stored uncompressed). old is the
+// epoch's manifest while it still decodes, nil once lost: the rewrite
+// keeps its dedup annotations only if old is v3, since a v2 ref's FNV-64a
+// hash would enter the dedup index as an XXH64 one (refs are never needed
+// for restore, so dropping them is safe).
+func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages *PageSet, old *Manifest) (Manifest, error) {
+	man := Manifest{Epoch: epoch, PageSize: pageSize, Format: FormatV3}
+	if old != nil && old.Format >= FormatV3 {
+		man.Refs = old.Refs
+	}
 	if err := writeSegment(fs, &man, pages, compress.None); err != nil {
 		return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d: %w", epoch, err)
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/util"
 )
 
 // sealEpochs writes n sealed epochs (epoch e touches pages 0..e-1 with
@@ -220,10 +224,10 @@ func TestVerifyChainTornManifestV1(t *testing.T) {
 	build := func() *MemFS {
 		fs := &MemFS{}
 		putFile(t, fs, segmentName(1), append(
-			buildRecord(0, bytes.Repeat([]byte{0x11}, pageSize)),
-			buildRecord(1, bytes.Repeat([]byte{0x22}, pageSize))...))
+			buildRecord(0, 0, bytes.Repeat([]byte{0x11}, pageSize)),
+			buildRecord(0, 1, bytes.Repeat([]byte{0x22}, pageSize))...))
 		putFile(t, fs, manifestName(1), v1(1, []int{0, 1}))
-		putFile(t, fs, segmentName(2), buildRecord(0, bytes.Repeat([]byte{0x33}, pageSize)))
+		putFile(t, fs, segmentName(2), buildRecord(0, 0, bytes.Repeat([]byte{0x33}, pageSize)))
 		putFile(t, fs, manifestName(2), v1(2, []int{0}))
 		return fs
 	}
@@ -308,7 +312,7 @@ func TestRewriteEpochRepairsCorruptSegment(t *testing.T) {
 	if err := Quarantine(fs, segmentName(1)); err != nil {
 		t.Fatal(err)
 	}
-	man, err := RewriteEpoch(fs, 1, pageSize, &copy1, oldMan.Refs)
+	man, err := RewriteEpoch(fs, 1, pageSize, &copy1, &oldMan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,31 +342,119 @@ func TestRewriteEpochRepairsCorruptSegment(t *testing.T) {
 	}
 }
 
+// A repair must not carry a v2 manifest's refs into the v3 manifest it
+// writes: their FNV-64a hashes would enter the dedup index as XXH64 ones.
+// It drops them, so the v2 content's next rewrite is stored and the one
+// after that dedups; a v3 manifest's refs survive a repair.
+func TestRewriteEpochDropsV2Refs(t *testing.T) {
+	const pageSize = 32
+	content := func(p int) []byte { return stamped(p, 1, pageSize) }
+	fs := &MemFS{}
+	putV2Epoch(t, fs, 1, pageSize, map[int][]byte{0: content(0), 1: content(1)}, nil)
+	v2 := putV2Epoch(t, fs, 2, pageSize, map[int][]byte{2: content(2)},
+		[]PageRef{{Page: 0, Epoch: 1, Hash: util.Fnv64a(content(0))}})
+	_, pages2, err := EpochPages(fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := RewriteEpoch(fs, 2, pageSize, &pages2, &v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Format != FormatV3 || len(man.Refs) != 0 {
+		t.Fatalf("repaired v2 epoch: format %d, refs %+v; want v3 without refs", man.Format, man.Refs)
+	}
+
+	r := NewRepository(fs, pageSize)
+	r.mu.Lock()
+	err = r.loadIndexLocked()
+	index := maps.Clone(r.index)
+	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range 3 {
+		e, ok := index[p]
+		switch {
+		case !ok:
+			t.Fatalf("page %d is not indexed", p)
+		case e.hasHash && e.hash != contentHash(content(p)):
+			t.Errorf("page %d indexed with hash %#x, not its content's XXH64 %#x", p, e.hash, contentHash(content(p)))
+		case !e.hasHash && p == 2:
+			t.Error("page 2, rewritten as v3, is indexed without a hash")
+		}
+	}
+
+	write := func(epoch uint64) Manifest {
+		t.Helper()
+		if err := r.WritePage(epoch, 0, content(0), pageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.EndEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(fs, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m := write(3); m.PageCount != 1 || len(m.Refs) != 0 {
+		t.Fatalf("the v2 page's unchanged rewrite: %d records, refs %+v; want it stored", m.PageCount, m.Refs)
+	}
+	v3 := write(4)
+	if v3.PageCount != 0 || len(v3.Refs) != 1 || v3.Refs[0].Epoch != 3 {
+		t.Fatalf("the next rewrite: %d records, refs %+v; want a ref to epoch 3", v3.PageCount, v3.Refs)
+	}
+
+	var none PageSet
+	man, err = RewriteEpoch(fs, 4, pageSize, &none, &v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(man.Refs, v3.Refs) {
+		t.Fatalf("repaired v3 epoch refs %+v, want %+v", man.Refs, v3.Refs)
+	}
+	im, err := Restore(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !im.Pages.Equal(pageSetOf(map[int][]byte{0: content(0), 1: content(1), 2: content(2)})) {
+		t.Fatal("the repaired mixed chain restores wrong")
+	}
+}
+
 // FuzzVerifyChain throws arbitrary manifest and segment bytes at the
 // scrubber. Whatever the files hold, VerifyChain must classify without
 // panicking, every status must be a known constant, and a chain the strict
 // loader accepts must never be reported with interior manifest corruption.
 func FuzzVerifyChain(f *testing.F) {
-	goodSeg := buildRecord(0, bytes.Repeat([]byte{0x5a}, 16))
-	goodMan := func(epoch uint64) []byte {
+	content := bytes.Repeat([]byte{0x5a}, 16)
+	seg := func(format int) []byte { return buildRecord(format, 0, content) }
+	man := func(epoch uint64, format int) []byte {
 		b, _ := json.Marshal(Manifest{Epoch: epoch, PageSize: 16, PageCount: 1, Pages: []int{0},
-			TotalBytes: int64(len(goodSeg)), Format: FormatV2})
+			TotalBytes: int64(len(seg(format))), Format: format})
 		return b
 	}
-	f.Add(goodMan(1), goodMan(2), goodSeg)
-	f.Add(goodMan(1)[:9], goodMan(2), goodSeg)  // interior torn manifest
-	f.Add(goodMan(1), goodMan(2)[:9], goodSeg)  // torn tail
-	f.Add(goodMan(1), goodMan(2), goodSeg[:19]) // truncated segment
-	f.Add(goodMan(1), goodMan(2), []byte{})     // empty segment file
-	corrupt := append([]byte(nil), goodSeg...)
-	corrupt[25] ^= 0xff
-	f.Add(goodMan(1), goodMan(2), corrupt) // bit flip under the hash
-	f.Fuzz(func(t *testing.T, man1, man2, seg1 []byte) {
+	for _, fm := range [][2]int{{FormatV2, FormatV2}, {FormatV3, FormatV3}, {FormatV2, FormatV3}} {
+		goodMan := func(epoch uint64) []byte { return man(epoch, fm[epoch-1]) }
+		goodSeg, seg2 := seg(fm[0]), seg(fm[1])
+		f.Add(goodMan(1), goodMan(2), goodSeg, seg2)
+		f.Add(goodMan(1)[:9], goodMan(2), goodSeg, seg2)  // interior torn manifest
+		f.Add(goodMan(1), goodMan(2)[:9], goodSeg, seg2)  // torn tail
+		f.Add(goodMan(1), goodMan(2), goodSeg[:19], seg2) // truncated segment
+		f.Add(goodMan(1), goodMan(2), []byte{}, seg2)     // empty segment file
+		corrupt := append([]byte(nil), goodSeg...)
+		corrupt[25] ^= 0xff
+		f.Add(goodMan(1), goodMan(2), corrupt, seg2) // bit flip under the hash
+	}
+	f.Add(man(1, FormatV2), man(2, FormatV3), seg(FormatV3), seg(FormatV2)) // each segment under the other format
+	f.Fuzz(func(t *testing.T, man1, man2, seg1, seg2 []byte) {
 		fs := &MemFS{}
 		putFile(t, fs, manifestName(1), man1)
 		putFile(t, fs, manifestName(2), man2)
 		putFile(t, fs, segmentName(1), seg1)
-		putFile(t, fs, segmentName(2), buildRecord(0, bytes.Repeat([]byte{0x5a}, 16)))
+		putFile(t, fs, segmentName(2), seg2)
 		hs, err := VerifyChain(fs)
 		if err != nil {
 			return // e.g. mixed page sizes: rejected, not classified

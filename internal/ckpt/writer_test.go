@@ -84,8 +84,8 @@ func checkSegmentMatchesManifest(t *testing.T, fs FS, epoch uint64, v, size int)
 	if int64(len(seg)) != man.TotalBytes {
 		t.Fatalf("epoch %d: segment is %d bytes, manifest says %d", epoch, len(seg), man.TotalBytes)
 	}
-	if len(man.Pages) != man.PageCount || len(man.Hashes) != man.PageCount {
-		t.Fatalf("epoch %d: %d pages, %d hashes, count %d", epoch, len(man.Pages), len(man.Hashes), man.PageCount)
+	if man.Format != FormatV3 || len(man.Pages) != man.PageCount || len(man.Hashes) != man.PageCount {
+		t.Fatalf("epoch %d: format %d, %d pages, %d hashes, count %d", epoch, man.Format, len(man.Pages), len(man.Hashes), man.PageCount)
 	}
 	for i, p := range man.Pages {
 		if len(seg) < 20 {
@@ -99,7 +99,7 @@ func checkSegmentMatchesManifest(t *testing.T, fs FS, epoch uint64, v, size int)
 		}
 		n := int(binary.LittleEndian.Uint32(seg[8:]))
 		payload := seg[20 : 20+n]
-		if util.Fnv64a(payload) != binary.LittleEndian.Uint64(seg[12:]) {
+		if util.Xxh64(payload) != binary.LittleEndian.Uint64(seg[12:]) {
 			t.Fatalf("epoch %d record %d: payload does not match its record hash", epoch, i)
 		}
 		raw := payload
@@ -197,21 +197,25 @@ func TestSegmentBufferIsReusedCleanly(t *testing.T) {
 }
 
 // The on-disk format is pinned byte for byte: testdata/format holds the
-// segment and manifest a single writer produced for three pages before the
-// segment writer was rewritten, with and without a codec. (The flate bytes
-// are the standard library's; a Go release that changes its DEFLATE output
-// moves that golden without the format having changed.)
+// segment and manifest a single writer produces for three pages, with and
+// without a codec. The v3-* files are what the repository writes; the
+// unprefixed ones are a format-v2 writer's, which must still verify and
+// restore to the same pages. (The flate bytes are the standard library's; a
+// Go release that changes its DEFLATE output moves those goldens without the
+// format having changed.)
 func TestSegmentFormatGolden(t *testing.T) {
 	for name, codec := range map[string]compress.Codec{"none": compress.None, "flate": compress.Flate} {
 		t.Run(name, func(t *testing.T) {
 			fs := &MemFS{}
 			r := NewRepository(fs, 64)
 			r.SetCodec(codec)
+			want := map[int][]byte{}
 			for i, p := range []int{5, 0, 9} {
 				data := make([]byte, 64)
 				for j := range data {
 					data[j] = byte(p*17 + j/8 + i)
 				}
+				want[p] = data
 				if err := r.WritePage(1, p, data, 64); err != nil {
 					t.Fatal(err)
 				}
@@ -219,14 +223,35 @@ func TestSegmentFormatGolden(t *testing.T) {
 			if err := r.EndEpoch(1); err != nil {
 				t.Fatal(err)
 			}
+			v2 := &MemFS{}
 			for _, file := range []string{segmentName(1), manifestName(1)} {
-				want, err := os.ReadFile(filepath.Join("testdata", "format", name+"-"+file))
-				if err != nil {
-					t.Fatal(err)
+				golden := func(prefix string) []byte {
+					data, err := os.ReadFile(filepath.Join("testdata", "format", prefix+name+"-"+file))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return data
 				}
-				if got := fileBytes(t, fs, file); !bytes.Equal(got, want) {
+				if got, want := fileBytes(t, fs, file), golden("v3-"); !bytes.Equal(got, want) {
 					t.Errorf("%s differs from the golden:\n got %q\nwant %q", file, got, want)
 				}
+				putFile(t, v2, file, golden(""))
+			}
+			hs, err := VerifyChain(v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range hs {
+				if h.Status != StatusOK {
+					t.Errorf("v2 golden %s: %s %s", h.Manifest, h.Status, h.Detail)
+				}
+			}
+			im, err := Restore(v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !im.Pages.Equal(pageSetOf(want)) {
+				t.Error("the v2 golden does not restore to the pages written")
 			}
 		})
 	}

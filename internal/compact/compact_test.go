@@ -1,9 +1,12 @@
 package compact
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/compress"
 	"repro/internal/sim"
 )
 
@@ -264,5 +267,118 @@ func TestAmplificationTrigger(t *testing.T) {
 	}
 	if res.BytesReclaimed == 0 {
 		t.Fatal("no bytes reclaimed")
+	}
+}
+
+// A repository written by a format-v2 writer — the checked-in v2 goldens —
+// extends into a mixed v2→v3 chain: v3 epochs store the v2 pages they
+// rewrite unchanged rather than dedup against FNV-64a hashes, verify and
+// fold as one chain, and a forced pass folds them into one v3 base that
+// restores the same image.
+func TestRunOnceFoldsMixedV2V3Chain(t *testing.T) {
+	const pageSize = 64
+	for name, codec := range map[string]uint8{"none": 0, "flate": 2} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, file := range []string{"epoch-00000001.pages", "epoch-00000001.json"} {
+				data, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "format", name+"-"+file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs, err := ckpt.NewOSFS(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The goldens' content: pages 5, 0 and 9, written in that order.
+			want := map[int][]byte{}
+			for i, p := range []int{5, 0, 9} {
+				want[p] = make([]byte, pageSize)
+				for j := range want[p] {
+					want[p][j] = byte(p*17 + j/8 + i)
+				}
+			}
+			r := ckpt.NewRepository(fs, pageSize)
+			r.SetCodec(compress.Codec(codec))
+			seal := func(epoch uint64, pages ...int) ckpt.Manifest {
+				t.Helper()
+				for _, p := range pages {
+					if err := r.WritePage(epoch, p, want[p], pageSize); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.EndEpoch(epoch); err != nil {
+					t.Fatal(err)
+				}
+				m, err := ckpt.ReadManifest(fs, epoch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			want[3] = fillPage(0x33, pageSize)
+			if m := seal(2, 5, 0, 3); m.Format != ckpt.FormatV3 || m.PageCount != 3 || len(m.Refs) != 0 {
+				t.Fatalf("epoch 2 over the v2 epoch: format %d, %d records, refs %+v; want v3, 3 and none", m.Format, m.PageCount, m.Refs)
+			}
+			want[9] = fillPage(0x99, pageSize)
+			if m := seal(3, 5, 9); m.PageCount != 1 || len(m.Refs) != 1 || m.Refs[0].Epoch != 2 {
+				t.Fatalf("epoch 3: %d records, refs %+v; want page 5 deduped against epoch 2", m.PageCount, m.Refs)
+			}
+
+			wantSet := ckpt.NewPageSet(len(want))
+			for _, p := range []int{0, 3, 5, 9} {
+				wantSet.Append(p, want[p])
+			}
+			checkChain := func(when string) {
+				t.Helper()
+				hs, err := ckpt.VerifyChain(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range hs {
+					if h.Damaged {
+						t.Fatalf("%s: %s is %s: %s", when, h.Manifest, h.Status, h.Detail)
+					}
+				}
+				ch, err := ckpt.LoadChain(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := ckpt.FoldChain(fs, ch.Live(), 2)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if !got.Equal(&wantSet) {
+					t.Fatalf("%s: the chain folds to another image", when)
+				}
+			}
+			checkChain("mixed chain")
+
+			res, err := RunOnce(Config{FS: fs, PageSize: pageSize, Codec: codec}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Compacted || res.BaseFrom != 1 || res.BaseTo != 3 || res.LiveSegments != 1 {
+				t.Fatalf("res = %+v", res)
+			}
+			ch, err := ckpt.LoadChain(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch.Base == nil || ch.Base.Format != ckpt.FormatV3 || len(ch.Epochs) != 0 {
+				t.Fatalf("after the pass: base %+v, %d live epochs; want one v3 base", ch.Base, len(ch.Epochs))
+			}
+			checkChain("compacted")
+			im, err := ckpt.Restore(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if im.Epoch != 3 || !im.Pages.Equal(&wantSet) {
+				t.Fatalf("restored epoch %d differs from the mixed chain's image", im.Epoch)
+			}
+		})
 	}
 }

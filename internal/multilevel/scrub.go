@@ -131,13 +131,13 @@ func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error 
 	if r.ep == nil {
 		return fmt.Errorf("no lower tier holds epoch %d (%s)", hs.Epoch, strings.Join(r.detail, "; "))
 	}
-	// Preserve the dedup annotations when the old manifest still decodes;
-	// refs are pure accounting, so dropping them on a lost manifest is
-	// safe.
-	var refs []ckpt.PageRef
+	// The old manifest, while it still decodes, hands its dedup
+	// annotations to the rewrite; refs are pure accounting, so losing them
+	// with the manifest is safe.
+	var old *ckpt.Manifest
 	if hs.Status != ckpt.StatusManifestCorrupt {
-		if old, err := ckpt.ReadManifest(fs, hs.Epoch); err == nil {
-			refs = old.Refs
+		if m, err := ckpt.ReadManifest(fs, hs.Epoch); err == nil {
+			old = &m
 		}
 	}
 	// Quarantine the damaged bytes (best effort: the rewrite publishes
@@ -149,7 +149,7 @@ func (h *Hierarchy) repairEpoch(entry *ScrubEntry, hs ckpt.SegmentHealth) error 
 	if hs.Segment != "" && hs.Status == ckpt.StatusSegmentCorrupt {
 		_ = ckpt.Quarantine(fs, hs.Segment)
 	}
-	if _, err := ckpt.RewriteEpoch(fs, hs.Epoch, h.pageSize, &r.ep.Pages, refs); err != nil {
+	if _, err := ckpt.RewriteEpoch(fs, hs.Epoch, h.pageSize, &r.ep.Pages, old); err != nil {
 		return err
 	}
 	if h.obs != nil {
